@@ -9,14 +9,14 @@ bandwidth is then shrunk by n^(-gamma) to undersmooth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .fit import DEFAULT_KERNEL, STATUS_OK, Kernel, _solve_at, _view_of
+from .engine import predict, solve, view_of
+from .kernel import DEFAULT_KERNEL, Kernel
 
 DEFAULT_GAMMA = 1.0 / 20.0
 DEFAULT_FOLDS = 5
@@ -79,30 +79,19 @@ def cv_score(data: Dataset, folds: FoldAssignment, h: float,
     from the average; if more than MAX_EXCLUDED_FRACTION are excluded the
     score is +inf.
     """
-    if not h > 0:
-        raise ValueError("bandwidth h must be positive")
-    view = _view_of(data)
+    view = view_of(data)
     if view.n_obs == 0:
         raise ValueError("no complete-case observations to cross-validate")
-    fold_of_subject = np.array([folds.assignment[sid] for sid in view.subject_ids])
-    obs_fold = fold_of_subject[view.subj]
-
-    sq_errors = []
-    excluded = 0
-    for j in range(folds.k):
-        train = view.subset(obs_fold != j)
-        test_idx = np.nonzero(obs_fold == j)[0]
-        for i in test_idx:
-            beta, _, status = _solve_at(train, view.t[i], view.s[i], float(h), kernel)
-            if status != STATUS_OK:
-                excluded += 1
-                continue
-            err = view.y[i] - view.X[i] @ beta
-            sq_errors.append(err * err)
-    excluded_fraction = excluded / view.n_obs
-    if excluded_fraction > MAX_EXCLUDED_FRACTION or not sq_errors:
+    obs_fold = np.array([folds.assignment[sid] for sid in view.subject_ids])[view.subj]
+    # each held-out fit weighs only the other folds' observations: a sum over
+    # the training set, never the full fit minus the own fold
+    sol = solve(view, view.t, view.s, float(h), kernel, fold=(obs_fold, obs_fold))
+    ok = sol.status == 0
+    err = view.y[ok] - predict(view, sol.beta[ok], ok)
+    excluded_fraction = (view.n_obs - err.size) / view.n_obs
+    if excluded_fraction > MAX_EXCLUDED_FRACTION or not err.size:
         return math.inf, excluded_fraction
-    return math.fsum(sq_errors) / len(sq_errors), excluded_fraction
+    return math.fsum(err * err) / err.size, excluded_fraction
 
 
 def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:
@@ -120,7 +109,8 @@ def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
     """Grid-search CV; ties break to the smaller bandwidth.
 
     The undersmoothing factor uses the full cohort size (censored subjects
-    included), matching the design the selector is calibrated for.
+    included), matching the design the selector is calibrated for. Scores
+    are computed in the calling thread, so threads changes nothing.
     """
     grid = tuple(float(h) for h in (default_h_grid() if h_grid is None else h_grid))
     if not grid:
@@ -128,14 +118,8 @@ def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
     if any(h <= 0 for h in grid):
         raise ValueError("all candidate bandwidths must be positive")
     folds = make_folds(data, k, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(lambda h: cv_score(data, folds, h, kernel), grid))
-    else:
-        pairs = [cv_score(data, folds, h, kernel) for h in grid]
-    scores = tuple(p[0] for p in pairs)
-    excluded = tuple(p[1] for p in pairs)
+    pairs = [cv_score(data, folds, h, kernel) for h in grid]
+    scores, excluded = map(tuple, zip(*pairs))
 
     best_h = None
     best_score = math.inf
@@ -148,15 +132,7 @@ def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
             f"{MAX_EXCLUDED_FRACTION:.0%} of held-out observations"
         )
     factor = undersmoothing_factor(data.n_subjects, gamma)
-    return CVResult(
-        h_grid=grid,
-        scores=scores,
-        excluded_fraction=excluded,
-        h_selected=best_h,
-        h_undersmoothed=best_h * factor,
-        gamma=float(gamma),
-        factor=factor,
-        n_used=data.n_subjects,
-        folds=k,
-        seed=int(seed),
-    )
+    return CVResult(h_grid=grid, scores=scores, excluded_fraction=excluded,
+                    h_selected=best_h, h_undersmoothed=best_h * factor,
+                    gamma=float(gamma), factor=factor, n_used=data.n_subjects,
+                    folds=k, seed=int(seed))

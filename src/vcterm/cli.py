@@ -8,6 +8,7 @@ Errors are written to stderr as a single JSON line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,10 +21,10 @@ from . import io as iomod
 from . import svg as svgmod
 from .bandwidth import select_bandwidth
 from .data import Dataset
-from .errors import DataError, NumericalError, VctermError
+from .errors import DataError, NumericalError, UsageError, VctermError
 from .experiments import run_study
-from .fit import (STATUS_OK, confidence_interval, local_fit, slice_fit,
-                  standard_errors)
+from .fit import (STATUS_OK, confidence_interval, local_fit, sandwich_variance,
+                  slice_fit, standard_errors)
 from .kernel import DEFAULT_KERNEL, kernel_moments
 from .simulate import gen_dataset
 
@@ -32,13 +33,14 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the relevant random seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results do not depend on this")
+                        help="worker threads of study; results do not depend on this")
     parser.add_argument("--transform", default="none", choices=("none", "log1000"),
                         help="response transform applied on load")
     parser.add_argument("--format", default="csv", choices=("csv", "json"),
                         dest="fmt", help="stdout format for structured output")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcterm",
@@ -136,8 +138,8 @@ def _emit_rows(fmt: str, header, rows, meta: dict, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
         payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
-        json.dump(payload, stream, sort_keys=True, default=_json_default)
-        stream.write("\n")
+        # dumps takes the C encoder; dump would encode chunk by chunk in Python
+        stream.write(json.dumps(payload, sort_keys=True, default=_json_default) + "\n")
         return
     for key in sorted(meta):
         stream.write(f"# {key}={meta[key]}\n")
@@ -168,8 +170,6 @@ def cmd_fit(args) -> int:
         raise NumericalError(
             f"fit at ({args.t0:g}, {args.s0:g}) failed: {fp.status} (n_eff={fp.n_eff})"
         )
-    from .fit import sandwich_variance
-
     fp.v_hat = sandwich_variance(dataset, args.t0, args.s0, args.h)
     n_cc = dataset.n_complete_case
     ci = confidence_interval(fp, n_cc, args.alpha)
@@ -198,12 +198,13 @@ def cmd_slice(args) -> int:
     all_rows = []
     per_slice = {}
     for T in args.T:
+        if not (math.isfinite(T) and 0.0 < args.t_step < math.inf):
+            raise UsageError("--T must be finite and --t-step positive and finite")
         count = int(math.floor((T - 1e-9) / args.t_step))
         if count < 1:
             raise DataError(f"slice T={T:g} leaves no interior points at step {args.t_step:g}")
         ts = [i * args.t_step for i in range(1, count + 1)]
-        fits = slice_fit(dataset, T, ts, args.h, with_variance=True,
-                         threads=max(1, args.threads))
+        fits = slice_fit(dataset, T, ts, args.h, with_variance=True)
         rows = []
         for fp in fits:
             if fp.status == STATUS_OK:
@@ -263,7 +264,7 @@ def cmd_cv(args) -> int:
             raise DataError(f"--h-grid: expected comma-separated numbers, got {args.h_grid!r}")
     seed = 0 if args.seed is None else args.seed
     result = select_bandwidth(dataset, h_grid=h_grid, seed=seed, k=args.folds,
-                              gamma=args.gamma, threads=max(1, args.threads))
+                              gamma=args.gamma)
     rows = [
         (h, None if math.isinf(s) else s, e)
         for h, s, e in zip(result.h_grid, result.scores, result.excluded_fraction)

@@ -1,0 +1,142 @@
+"""Batched local weighted least squares on a fixed (t, s) cell lattice.
+
+Every fit is a batch of targets (t0, s0) handed to `solve`. Observations sit
+in square cells of side reach = truncation_radius * h, so each kernel disk
+lies in the 3 x 3 cells around its target's cell (the fixed-radius
+near-neighbour cell list of Bentley, Stanat & Williams, 1977). Per cell,
+blocks of at most CHUNK targets form a kernel block W, zero-padded to CHUNK
+rows, times the stacked features [vec(x x'), x y] of the cell's candidates.
+The fixed block height and per-cell candidate sets keep each target's bits
+independent of the batch.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+
+import numpy as np
+
+from .data import Dataset
+from .kernel import Kernel, kernel_eval
+
+STATUS_OK = "ok"
+STATUS_SINGULAR = "singular"
+STATUS_EMPTY = "empty_support"
+STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_EMPTY)  # indexed by status code
+
+# reciprocal condition number below which a local Gram matrix is singular
+RCOND_MIN = 1e-12
+
+CHUNK = 8
+
+
+class View:
+    """Complete-case observations sorted by visit time, with stacked features F."""
+
+    def __init__(self, dataset: Dataset):
+        cc = [s for s in dataset.subjects if s.event_observed]
+        p = self.p = dataset.p
+        self.n_subjects = len(cc)
+        self.subject_ids = tuple(s.id for s in cc)
+        counts = [s.n_visits for s in cc]
+        t = np.concatenate([np.empty(0)] + [s.times for s in cc])
+        order = np.argsort(t, kind="stable")
+        self.t, self.n_obs = t[order], t.size
+        # residual lifetime at each visit; followup_end is the event time here
+        self.s = np.repeat([s.followup_end for s in cc], counts)[order] - self.t
+        self.X = np.vstack([np.empty((0, p))] + [s.covariates for s in cc])[order]
+        self.y = np.concatenate([np.empty(0)] + [s.responses for s in cc])[order]
+        self.subj = np.repeat(np.arange(len(cc)), counts)[order]
+        outer = self.X[:, :, None] * self.X[:, None, :]
+        self.F = np.hstack([outer.reshape(-1, p * p), self.X * self.y[:, None]])
+
+
+def view_of(data: Dataset) -> View:
+    if data._fit_view is None:
+        data._fit_view = View(data)
+    return data._fit_view
+
+
+# per target: beta (NaN unless ok), n_eff, status code into STATUSES, and the
+# ascending eigenvalues and eigenvectors of the Gram matrix
+Solution = namedtuple("Solution", "beta n_eff status evals evecs")
+
+
+def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
+    """Yield (rows, cand, W, F[cand]); W[r, c] weighs observation cand[c] at
+    target rows[r], and is zero when fold[0][rows[r]] == fold[1][cand[c]]."""
+    if view.n_obs == 0:
+        return
+    lo_t, lo_s = view.t.min(), view.s.min()
+    # a hair wider than reach, so rounding cannot put a disk point two cells
+    # away; at most 2**20 cells per axis, so a tiny h cannot overflow the keys
+    side = (1.0 + 1e-6) * max(kernel.truncation_radius * h,
+                              max(np.ptp(view.t), np.ptp(view.s)) / 2**20)
+    ci = np.floor((view.t - lo_t) / side).astype(np.intp)
+    cj = np.floor((view.s - lo_s) / side).astype(np.intp)
+    nt, ns = int(ci.max()) + 1, int(cj.max()) + 1
+    keys = ci * ns + cj
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # target cells beyond the data are clipped to one with no data neighbours
+    a = np.clip(np.floor((t0 - lo_t) / side), -2, nt + 1).astype(np.intp)
+    b = np.clip(np.floor((s0 - lo_s) / side), -2, ns + 1).astype(np.intp)
+    tkeys = (a + 2) * (ns + 4) + (b + 2)
+    by_cell = np.argsort(tkeys, kind="stable")
+    for group in np.split(by_cell, np.flatnonzero(np.diff(tkeys[by_cell])) + 1):
+        ga, gb = a[group[0]], b[group[0]]
+        rows3 = np.arange(max(ga - 1, 0), min(ga + 1, nt - 1) + 1) * ns
+        lo, hi = max(gb - 1, 0), min(gb + 1, ns - 1)
+        starts = np.searchsorted(keys, rows3 + lo, side="left")
+        ends = np.searchsorted(keys, rows3 + hi, side="right")
+        cand = np.concatenate([order[i:j] for i, j in zip(starts, ends)] or [order[:0]])
+        if cand.size == 0:
+            continue
+        tc, sc, Fc = view.t[cand], view.s[cand], view.F[cand]
+        for k in range(0, group.size, CHUNK):
+            rows = group[k:k + CHUNK]
+            W = kernel_eval(kernel, (tc - t0[rows, None]) / h,
+                            (sc - s0[rows, None]) / h) / (h * h)
+            if fold is not None:
+                W *= fold[0][rows, None] != fold[1][cand]
+            yield rows, cand, W, Fc
+
+
+def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
+          weights: dict | None = None) -> Solution:
+    """Local fits at all targets (t0[i], s0[i]) in one pass.
+
+    A target is "empty_support" when fewer than p observations carry weight,
+    "singular" when its Gram matrix fails the reciprocal-condition test.
+    With a weights dict, weights[i] = (cand, w) for every target with support.
+    """
+    t0, s0 = np.asarray(t0, dtype=float), np.asarray(s0, dtype=float)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("bandwidth h must be positive and finite")
+    if not (np.isfinite(t0).all() and np.isfinite(s0).all()):
+        raise ValueError("target points must be finite")
+    p, B = view.p, t0.size
+    mom = np.zeros((B, p * p + p))
+    n_eff = np.zeros(B, dtype=np.intp)
+    for rows, cand, W, Fc in _blocks(view, t0, s0, h, kernel, fold):
+        block = np.zeros((CHUNK, cand.size))
+        block[:rows.size] = W
+        mom[rows] = (block @ Fc)[:rows.size]
+        n_eff[rows] = np.count_nonzero(W, axis=1)
+        if weights is not None:
+            weights.update((r, (cand, w)) for r, w in zip(rows, W))
+    evals, evecs = np.linalg.eigh(mom[:, :p * p].reshape(B, p, p))
+    lam = evals[:, -1]
+    status = np.where(n_eff < p, 2, np.where((lam > 0) & (evals[:, 0] >= RCOND_MIN * lam), 0, 1))
+    ok = status == 0
+    V = evecs[ok]
+    c = np.matmul(V.transpose(0, 2, 1), mom[ok, p * p:, None])[..., 0] / evals[ok]
+    beta = np.full((B, p), np.nan)
+    beta[ok] = np.matmul(V, c[..., None])[..., 0]
+    return Solution(beta, n_eff, status, evals, evecs)
+
+
+def predict(view: View, beta: np.ndarray, rows) -> np.ndarray:
+    """x_i' beta_i for the observations in rows, as 1-D dot products."""
+    return np.matmul(view.X[rows, None, :], beta[:, :, None])[:, 0, 0]

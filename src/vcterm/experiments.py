@@ -146,9 +146,9 @@ def replication_seed_sequences(seed: int, replications: int):
     return spawn_stateless(np.random.SeedSequence(seed), replications)
 
 
-def study_fingerprint(config: StudyConfig) -> str:
-    """Hash identifying a study's full configuration (not its thread count)."""
-    return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
+def study_fingerprint(config: StudyConfig, kernel: Kernel = DEFAULT_KERNEL) -> str:
+    """Hash identifying a study's configuration and kernel (not its thread count)."""
+    return hashlib.sha256(repr((config, kernel)).encode()).hexdigest()[:16]
 
 
 def truth_matrix(sim: SimConfig, points) -> np.ndarray:
@@ -216,11 +216,13 @@ def _append_partial(path: str, rows, lock: threading.Lock):
 
 
 def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepRecord]:
-    """Completed replications from an interrupted run; ignores partial reps."""
+    """Completed replications from an interrupted run; ignores partial reps
+    and rows that do not parse, and ends a torn last line with a newline."""
     if not os.path.exists(path):
         return {}
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        text = fh.read()
+    lines = text.splitlines()
     if not lines:
         return {}
     head = lines[0]
@@ -231,14 +233,20 @@ def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepR
             f"{path}: was written by a different study configuration; "
             "remove the file or use a fresh output directory"
         )
-    by_rep: dict[int, list] = {}
+    if not text.endswith("\n"):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+    by_rep: dict[int, dict] = {}
     for ln in lines[1:]:
         if not ln or ln.startswith("#") or ln.startswith("rep,"):
             continue
-        parts = ln.split(",")
-        if len(parts) != len(_RECORD_HEADER):
-            continue  # torn tail line from a crash
-        by_rep.setdefault(int(parts[0]), []).append(parts)
+        try:
+            rep, g, _, _, k, h, est, se, name = ln.split(",")
+            row = (float(h), float(est or "nan"), float(se or "nan"), _STATUS_CODE[name])
+            # a rerun of a torn replication repeats its rows with equal values
+            by_rep.setdefault(int(rep), {})[(int(g), int(k) - 1)] = row
+        except (ValueError, KeyError):
+            continue  # torn tail line from a crash; its replication reruns
     out = {}
     for rep, rows in by_rep.items():
         if len(rows) != G * p:
@@ -246,14 +254,8 @@ def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepR
         est = np.full((G, p), np.nan)
         se = np.full((G, p), np.nan)
         status = np.empty(G, dtype=np.int8)
-        h = float(rows[0][5])
-        for parts in rows:
-            g, k = int(parts[1]), int(parts[4]) - 1
-            status[g] = _STATUS_CODE[parts[8]]
-            if parts[6]:
-                est[g, k] = float(parts[6])
-            if parts[7]:
-                se[g, k] = float(parts[7])
+        for (g, k), (h, e, s, code) in rows.items():
+            est[g, k], se[g, k], status[g] = e, s, code
         out[rep] = RepRecord(rep=rep, h=h, estimate=est, se=se, status=status)
     return out
 
@@ -310,7 +312,7 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
     truth = truth_matrix(config.sim, points)
     R = config.replications
     seqs = replication_seed_sequences(config.sim.seed, R)
-    fingerprint = study_fingerprint(config)
+    fingerprint = study_fingerprint(config, kernel)
 
     cv_result = None
     h0: float | None = None
@@ -363,7 +365,7 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
                                [done[r] for r in range(R)])
     result.cv = cv_result
     if out_dir is not None:
-        write_study_artifacts(result, out_dir)
+        write_study_artifacts(result, out_dir, kernel)
         # the scratch file only matters for crash recovery; removing it keeps
         # the finished directory identical across runs and thread counts
         if partial_path is not None and os.path.exists(partial_path):
@@ -491,11 +493,12 @@ def _nan_none(x: float):
     return None if math.isnan(x) else float(x)
 
 
-def write_study_artifacts(result: StudyResult, out_dir: str):
+def write_study_artifacts(result: StudyResult, out_dir: str,
+                          kernel: Kernel = DEFAULT_KERNEL):
     """summary.csv, sorted records.csv, metadata.json, and per-grid extras."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
-    fingerprint = study_fingerprint(cfg)
+    fingerprint = study_fingerprint(cfg, kernel)
     meta = {"fingerprint": fingerprint, "replications": cfg.replications,
             "alpha": _format_cell(cfg.alpha), "h_policy": cfg.h_policy}
 

@@ -11,23 +11,16 @@ follows the moment-based plug-in form with per-subject score vectors.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .data import Dataset
+from .engine import (STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, STATUSES,  # noqa: F401
+                     predict, solve, view_of)
 from .errors import NumericalError
-from .kernel import DEFAULT_KERNEL, Kernel, kernel_eval
-
-STATUS_OK = "ok"
-STATUS_SINGULAR = "singular"
-STATUS_EMPTY = "empty_support"
-
-# reciprocal condition number below which the local Gram matrix is
-# declared singular
-RCOND_MIN = 1e-12
+from .kernel import DEFAULT_KERNEL, Kernel
 
 
 class FitError(NumericalError):
@@ -68,105 +61,29 @@ class ResidualTable:
         return int(self.valid.size - np.count_nonzero(self.valid))
 
 
-class _View:
-    """Complete-case observations pooled across subjects, sorted by visit time."""
-
-    __slots__ = ("p", "n_subjects", "n_obs", "t", "s", "X", "y", "subj", "subject_ids")
-
-    def __init__(self, p, n_subjects, t, s, X, y, subj, subject_ids):
-        self.p = p
-        self.n_subjects = n_subjects
-        self.n_obs = t.size
-        self.t = t
-        self.s = s
-        self.X = X
-        self.y = y
-        self.subj = subj
-        self.subject_ids = subject_ids
-
-    @classmethod
-    def build(cls, dataset: Dataset) -> "_View":
-        cc = [s for s in dataset.subjects if s.event_observed]
-        p = dataset.p
-        if not cc:
-            empty = np.empty(0)
-            return cls(p, 0, empty, empty, np.empty((0, p)), empty,
-                       np.empty(0, dtype=np.intp), ())
-        t = np.concatenate([s.times for s in cc])
-        X = np.vstack([s.covariates for s in cc])
-        y = np.concatenate([s.responses for s in cc])
-        # residual lifetime at each visit; followup_end is the event time here
-        s_axis = np.concatenate([s.followup_end - s.times for s in cc])
-        subj = np.concatenate(
-            [np.full(s.n_visits, i, dtype=np.intp) for i, s in enumerate(cc)]
-        )
-        order = np.argsort(t, kind="stable")
-        return cls(p, len(cc), t[order], s_axis[order], X[order], y[order],
-                   subj[order], tuple(s.id for s in cc))
-
-    def subset(self, mask: np.ndarray) -> "_View":
-        return _View(self.p, self.n_subjects, self.t[mask], self.s[mask],
-                     self.X[mask], self.y[mask], self.subj[mask], self.subject_ids)
-
-
-def _view_of(data: Dataset) -> _View:
-    if data._fit_view is None:
-        data._fit_view = _View.build(data)
-    return data._fit_view
-
-
-def _check_h(h: float):
-    if not h > 0:
-        raise ValueError("bandwidth h must be positive")
-
-
-def _band(view: _View, t0: float, h: float, kernel: Kernel):
-    reach = kernel.truncation_radius * h
-    lo = int(np.searchsorted(view.t, t0 - reach, side="left"))
-    hi = int(np.searchsorted(view.t, t0 + reach, side="right"))
-    return lo, hi
-
-
-def _weights(view, lo, hi, t0, s0, h, kernel):
-    u = (view.t[lo:hi] - t0) / h
-    v = (view.s[lo:hi] - s0) / h
-    return kernel_eval(kernel, u, v) / (h * h)
-
-
-def _normal_equations(view, t0, s0, h, kernel):
-    """Gram matrix, moment vector, effective count and the weight band."""
-    lo, hi = _band(view, t0, h, kernel)
-    w = _weights(view, lo, hi, t0, s0, h, kernel)
-    n_eff = int(np.count_nonzero(w))
-    if n_eff < view.p:
-        return None, None, n_eff, w, lo, hi
-    Xb = view.X[lo:hi]
-    Aw = Xb * w[:, None]
-    A = Aw.T @ Xb
-    b = Aw.T @ view.y[lo:hi]
-    return A, b, n_eff, w, lo, hi
-
-
-def _spd_factor(A: np.ndarray):
-    """Eigendecomposition of the symmetric Gram matrix; None when singular."""
-    evals, evecs = np.linalg.eigh(A)
-    lam_max = float(evals[-1])
-    if lam_max <= 0.0 or float(evals[0]) < RCOND_MIN * lam_max:
-        return None
-    return evals, evecs
-
-
-def _solve_at(view, t0, s0, h, kernel):
-    """(beta | None, n_eff, status) at one target point."""
-    A, b, n_eff, _, _, _ = _normal_equations(view, t0, s0, h, kernel)
-    if A is None:
-        return None, n_eff, STATUS_EMPTY
-    factor = _spd_factor(A)
-    if factor is None:
-        return None, n_eff, STATUS_SINGULAR
-    evals, evecs = factor
-    beta = evecs @ ((evecs.T @ b) / evals)
-    return beta, n_eff, STATUS_OK
+def _fit_points(data: Dataset, points, h: float, kernel: Kernel,
+                resid: ResidualTable | None = None) -> list[FitPoint]:
+    """One engine pass over the points; with resid, sandwich variances too."""
+    view = view_of(data)
+    t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
+    weights = {}
+    sol = solve(view, t0, s0, h, kernel, weights=weights)
+    h = float(h)
+    eps = None if resid is None else np.where(resid.valid, resid.resid, 0.0)
+    out = []
+    for i, status in enumerate(sol.status):
+        ok = status == 0
+        fp = FitPoint(float(t0[i]), float(s0[i]), h, sol.beta[i] if ok else None,
+                      None, int(sol.n_eff[i]), STATUSES[status])
+        if ok and resid is not None:
+            cand, w = weights[i]
+            G = np.zeros((view.n_subjects, view.p))
+            np.add.at(G, view.subj[cand], (w * eps[cand])[:, None] * view.X[cand])
+            A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
+            V = view.n_subjects * h * h * (A_inv @ (G.T @ G) @ A_inv)
+            fp.v_hat = 0.5 * (V + V.T)
+        out.append(fp)
+    return out
 
 
 def local_fit(data: Dataset, t0: float, s0: float, h: float,
@@ -177,10 +94,7 @@ def local_fit(data: Dataset, t0: float, s0: float, h: float,
     coefficients fall in the kernel disk, "singular" when the Gram matrix
     fails the reciprocal-condition test. Callers decide whether to skip.
     """
-    _check_h(h)
-    view = _view_of(data)
-    beta, n_eff, status = _solve_at(view, float(t0), float(s0), float(h), kernel)
-    return FitPoint(float(t0), float(s0), float(h), beta, None, n_eff, status)
+    return _fit_points(data, [(t0, s0)], h, kernel)[0]
 
 
 def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> ResidualTable:
@@ -189,20 +103,15 @@ def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> Resid
     Each observation (i, j) is compared with x_ij' beta_hat(tau_ij, Ti - tau_ij)
     at the same bandwidth. Tables are cached per (h, kernel) on the dataset.
     """
-    _check_h(h)
-    view = _view_of(data)
+    view = view_of(data)
     key = (float(h), kernel)
     cached = data._resid_cache.get(key)
     if cached is not None:
         return cached
-    n = view.n_obs
-    resid = np.full(n, np.nan)
-    valid = np.zeros(n, dtype=bool)
-    for i in range(n):
-        beta, _, status = _solve_at(view, view.t[i], view.s[i], float(h), kernel)
-        if status == STATUS_OK:
-            resid[i] = view.y[i] - view.X[i] @ beta
-            valid[i] = True
+    sol = solve(view, view.t, view.s, float(h), kernel)
+    valid = sol.status == 0
+    resid = np.full(view.n_obs, np.nan)
+    resid[valid] = view.y[valid] - predict(view, sol.beta[valid], valid)
     ids = tuple(view.subject_ids[j] for j in view.subj)
     table = ResidualTable(h=float(h), subject_ids=ids, times=view.t.copy(),
                           resid=resid, valid=valid)
@@ -213,42 +122,22 @@ def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> Resid
 def sandwich_variance(data: Dataset, t0: float, s0: float, h: float,
                       kernel: Kernel = DEFAULT_KERNEL,
                       resid: ResidualTable | None = None) -> np.ndarray:
-    """Moment-based sandwich V_hat = n h^2 A^{-1} M A^{-1} at (t0, s0).
+    """Moment-based sandwich V_hat = n h^2 A^{-1} M A^{-1} at (t0, s0), symmetrized.
 
-    M aggregates per-subject score vectors g_i = Xi' Ki eps_i, so within-subject
-    correlation is kept. Residuals must come from the same bandwidth;
-    observations with invalid residuals contribute zero to M. n is the number
-    of complete-case subjects. Raises FitError on empty support or a singular
-    Gram matrix. The result is symmetrized.
+    M sums outer products of per-subject scores g_i = Xi' Ki eps_i, keeping
+    within-subject correlation; n counts complete-case subjects. Residuals must
+    come from the same bandwidth; invalid ones contribute zero to M. Raises
+    FitError on empty support or a singular Gram matrix.
     """
-    _check_h(h)
-    view = _view_of(data)
-    if resid is None:
-        resid = residuals(data, h, kernel)
+    resid = residuals(data, h, kernel) if resid is None else resid
     if resid.h != float(h):
         raise ValueError("residual table was computed at a different bandwidth")
-    if resid.resid.shape[0] != view.n_obs:
+    if resid.resid.shape[0] != view_of(data).n_obs:
         raise ValueError("residual table does not match this dataset")
-    t0, s0, h = float(t0), float(s0), float(h)
-    A, _, n_eff, w, lo, hi = _normal_equations(view, t0, s0, h, kernel)
-    if A is None:
-        raise FitError(STATUS_EMPTY, n_eff)
-    factor = _spd_factor(A)
-    if factor is None:
-        raise FitError(STATUS_SINGULAR, n_eff)
-    evals, evecs = factor
-
-    eps = np.where(resid.valid[lo:hi], resid.resid[lo:hi], 0.0)
-    c = w * eps
-    seg = view.subj[lo:hi]
-    G = np.empty((view.n_subjects, view.p))
-    for k in range(view.p):
-        G[:, k] = np.bincount(seg, weights=c * view.X[lo:hi, k],
-                              minlength=view.n_subjects)
-    M = G.T @ G
-    A_inv = evecs @ (evecs.T / evals[:, None])
-    V = view.n_subjects * h * h * (A_inv @ M @ A_inv)
-    return 0.5 * (V + V.T)
+    fp = _fit_points(data, [(t0, s0)], h, kernel, resid)[0]
+    if fp.status != STATUS_OK:
+        raise FitError(fp.status, fp.n_eff)
+    return fp.v_hat
 
 
 def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05) -> np.ndarray:
@@ -261,13 +150,10 @@ def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05) -> np.ndarra
         raise ValueError("alpha must be in (0, 1)")
     if fit.status != STATUS_OK:
         raise FitError(fit.status, fit.n_eff)
-    if fit.v_hat is None:
-        raise ValueError("fit has no variance; compute sandwich_variance first")
     if not n > 0:
         raise ValueError("n must be positive")
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    # tiny negative diagonals are eigen-roundoff from an exact zero
-    se = np.sqrt(np.clip(np.diag(fit.v_hat), 0.0, None) / (n * fit.h * fit.h))
+    se = standard_errors(fit, n)
     return np.column_stack([fit.beta_hat - z * se, fit.beta_hat + z * se])
 
 
@@ -275,6 +161,7 @@ def standard_errors(fit: FitPoint, n: int) -> np.ndarray:
     """sqrt(V_kk / (n h^2)) per coefficient, the scale used by the intervals."""
     if fit.v_hat is None:
         raise ValueError("fit has no variance; compute sandwich_variance first")
+    # tiny negative diagonals are eigen-roundoff from an exact zero
     return np.sqrt(np.clip(np.diag(fit.v_hat), 0.0, None) / (n * fit.h * fit.h))
 
 
@@ -283,25 +170,14 @@ def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL,
     """Fit every (t0, s0) in the grid; per-point failures never abort the grid.
 
     With with_variance the residual table is computed once and shared by all
-    points. Results are ordered like the input grid and do not depend on the
-    thread count.
+    points. Results are ordered like the input grid; the grid is one batch
+    in the calling thread, so threads changes nothing.
     """
-    _check_h(h)
     points = [(float(t), float(s)) for t, s in grid]
     if not points:
         raise ValueError("grid must contain at least one point")
     resid = residuals(data, h, kernel) if with_variance else None
-
-    def one(pt):
-        fp = local_fit(data, pt[0], pt[1], h, kernel)
-        if with_variance and fp.status == STATUS_OK:
-            fp.v_hat = sandwich_variance(data, pt[0], pt[1], h, kernel, resid)
-        return fp
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, points))
-    return [one(pt) for pt in points]
+    return _fit_points(data, points, h, kernel, resid)
 
 
 def slice_fit(data: Dataset, T_fixed: float, t_values, h: float,

@@ -37,13 +37,13 @@ class Kernel:
     def __post_init__(self):
         if self.profile != "gaussian":
             raise ValueError(f"unknown kernel profile: {self.profile!r}")
-        if not self.truncation_radius > 0.0:
-            raise ValueError("truncation_radius must be positive")
+        if not 0.0 < self.truncation_radius < math.inf:
+            raise ValueError("truncation_radius must be positive and finite")
         if self.normalizer is None:
             mass = _gaussian_mass_inside(self.truncation_radius)
             object.__setattr__(self, "normalizer", 1.0 / mass)
-        elif not self.normalizer > 0.0:
-            raise ValueError("normalizer must be positive")
+        elif not 0.0 < self.normalizer < math.inf:
+            raise ValueError("normalizer must be positive and finite")
 
     def __call__(self, u, v):
         return kernel_eval(self, u, v)

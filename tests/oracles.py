@@ -113,3 +113,40 @@ def interior_target(dataset, rng: np.random.Generator):
     j = int(rng.integers(s.n_visits))
     tau = float(s.times[j])
     return tau, float(s.followup_end - tau)
+
+
+def dense_kfold_cv(dataset, assignment: dict, h: float, rcond_min: float = 1e-12,
+                   max_excluded: float = 0.1):
+    """(score, excluded_fraction) of k-fold CV from dense fits on the other folds.
+
+    A held-out observation is excluded when fewer than p training
+    observations carry weight, or when the training Gram matrix fails the
+    reciprocal-condition test; the score is +inf when more than max_excluded
+    of all held-out observations are excluded.
+    """
+    cc = [s for s in dataset.subjects if s.event_observed]
+    p = dataset.p
+    sq, excluded, n_obs = [], 0, 0
+    for s in cc:
+        train = [o for o in cc if assignment[o.id] != assignment[s.id]]
+        for j, tau in enumerate(s.times):
+            n_obs += 1
+            t0, s0 = float(tau), float(s.followup_end - tau)
+            A = np.zeros((p, p))
+            b = np.zeros(p)
+            n_eff = 0
+            for o in train:
+                K = weight_matrix(o, t0, s0, h)
+                n_eff += int(np.count_nonzero(np.diag(K)))
+                A += o.covariates.T @ K @ o.covariates
+                b += o.covariates.T @ K @ o.responses
+            evals = np.linalg.eigvalsh(A)
+            if n_eff < p or not evals[0] >= rcond_min * evals[-1] > 0:
+                excluded += 1
+                continue
+            beta = np.linalg.solve(A, b)
+            sq.append(float(s.responses[j] - s.covariates[j] @ beta) ** 2)
+    fraction = excluded / n_obs
+    if fraction > max_excluded or not sq:
+        return math.inf, fraction
+    return math.fsum(sq) / len(sq), fraction

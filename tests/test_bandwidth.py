@@ -183,3 +183,21 @@ def test_select_bandwidth_deterministic():
     c = select_bandwidth(data, h_grid=(2.0, 3.0, 4.0), k=3, seed=7, threads=3)
     assert c.scores == a.scores
     assert c.h_selected == a.h_selected
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cv_score_matches_dense_kfold_oracle(k):
+    rng = np.random.default_rng(100 + k)
+    data = oracles.make_tiny_dataset(rng, 30, 2)
+    # a complete-case subject far from the others: none of its held-out
+    # fits has training support
+    far = Subject("far", [40.0, 41.0], np.column_stack([np.ones(2), [0.3, -0.2]]),
+                  [1.0, 2.0], 42.0, True)
+    data = Dataset(list(data.subjects) + [far], p=2)
+    folds = make_folds(data, k=k, seed=k)
+    h = 1.5
+    want, want_excluded = oracles.dense_kfold_cv(data, folds.assignment, h)
+    got, excluded = cv_score(data, folds, h)
+    assert 0.0 < excluded <= bw.MAX_EXCLUDED_FRACTION
+    assert excluded == want_excluded
+    assert got == pytest.approx(want, rel=1e-10)

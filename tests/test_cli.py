@@ -283,3 +283,18 @@ def test_heatmap_renders_svg(tmp_path, capsys):
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--t0", "1", "--s0", "6", "--h", "inf"],
+    ["fit", "--t0", "nan", "--s0", "6", "--h", "3"],
+    ["fit", "--t0", "1", "--s0", "inf", "--h", "3"],
+    ["slice", "--T", "8", "--h", "nan"],
+    ["slice", "--T", "inf", "--h", "3"],
+    ["slice", "--T", "8", "--t-step", "0", "--h", "3"],
+    ["cv", "--h-grid", "3,inf"],
+])
+def test_nonfinite_inputs_are_usage_errors(noiseless_csv, capsys, argv):
+    assert main(argv + ["--data", noiseless_csv]) == 2
+    err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err_line["code"] == 2

@@ -307,3 +307,64 @@ def test_aggregate_records_reorders_by_rep():
     np.testing.assert_array_equal(again.mean_estimate, result.mean_estimate)
     np.testing.assert_array_equal(again.emp_sd, result.emp_sd)
     assert again.h_values == result.h_values
+
+
+def test_resume_skips_line_torn_inside_status(tmp_path):
+    cfg = _small_study(replications=3)
+    full_dir = tmp_path / "full"
+    result = run_study(cfg, out_dir=str(full_dir))
+
+    resume_dir = tmp_path / "resumed"
+    os.makedirs(resume_dir)
+    partial = resume_dir / PARTIAL_RECORDS
+    points = cfg.grid.eval_points()
+    rows0 = _record_rows(result.records[0], points)
+    rows1 = _record_rows(result.records[1], points)
+    lock = threading.Lock()
+    with open(partial, "w", encoding="utf-8") as fh:
+        fh.write(f"# fingerprint={study_fingerprint(cfg)}\n")
+        fh.write("rep,point,t,s,coef,h,estimate,se,status\n")
+    _append_partial(str(partial), rows0 + rows1, lock)
+    # the crash cut rep 1's last row inside its status field: "...,o"
+    text = partial.read_text(encoding="utf-8")
+    partial.write_text(text[:text.rindex(",ok") + 2], encoding="utf-8")
+
+    resumed = run_study(cfg, out_dir=str(resume_dir), resume=True)
+    np.testing.assert_array_equal(resumed.mean_estimate, result.mean_estimate)
+    for name in sorted(os.listdir(full_dir)):
+        assert (resume_dir / name).read_bytes() == (full_dir / name).read_bytes()
+
+
+def test_resume_twice_after_torn_line(tmp_path):
+    # rows appended after a torn line start on their own line, so a second
+    # interruption still finds every replication finished since the first
+    from vcterm.experiments import _load_partial
+
+    cfg = _small_study(replications=3)
+    result = run_study(cfg)
+    points = cfg.grid.eval_points()
+    partial = tmp_path / PARTIAL_RECORDS
+    lock = threading.Lock()
+    with open(partial, "w", encoding="utf-8") as fh:
+        fh.write(f"# fingerprint={study_fingerprint(cfg)}\n")
+        fh.write("rep,point,t,s,coef,h,estimate,se,status\n")
+    _append_partial(str(partial), _record_rows(result.records[0], points), lock)
+    with open(partial, "a", encoding="utf-8") as fh:
+        fh.write("1,0,1,9,1,2.5,0.1")  # torn inside the estimate field
+    G, p = len(points), cfg.sim.p
+    assert sorted(_load_partial(str(partial), study_fingerprint(cfg), G, p)) == [0]
+    for rec in result.records[1:]:
+        _append_partial(str(partial), _record_rows(rec, points), lock)
+    loaded = _load_partial(str(partial), study_fingerprint(cfg), G, p)
+    assert sorted(loaded) == [0, 1, 2]
+    for rec in result.records:
+        np.testing.assert_array_equal(loaded[rec.rep].estimate, rec.estimate)
+        np.testing.assert_array_equal(loaded[rec.rep].se, rec.se)
+
+
+def test_fingerprint_covers_the_kernel():
+    from vcterm import DEFAULT_KERNEL, Kernel
+
+    cfg = _small_study()
+    assert study_fingerprint(cfg) == study_fingerprint(cfg, DEFAULT_KERNEL)
+    assert study_fingerprint(cfg) != study_fingerprint(cfg, Kernel(truncation_radius=2.0))

@@ -297,3 +297,48 @@ def test_slice_fit_geometry_and_validation():
         slice_fit(data, 3.0, [-0.1], H_WIDE)
     with pytest.raises(ValueError):
         slice_fit(data, 3.0, [], H_WIDE)
+
+
+def _cohort():
+    from vcterm import SimConfig, gen_dataset
+
+    data, _ = gen_dataset(SimConfig(n=80, seed=5))
+    return data
+
+
+@pytest.mark.parametrize("h", [0.7, 2.0])
+def test_residuals_bit_equal_to_pointwise_fits(h):
+    data = _cohort()
+    table = residuals(data, h)
+    by_id = {s.id: s for s in data.subjects}
+    checked = 0
+    for sid, tau, r, ok in zip(table.subject_ids, table.times, table.resid, table.valid):
+        s = by_id[sid]
+        j = int(np.flatnonzero(s.times == tau)[0])
+        fit = local_fit(data, tau, s.followup_end - tau, h)
+        assert ok == (fit.status == STATUS_OK)
+        if ok:
+            assert r == s.responses[j] - s.covariates[j] @ fit.beta_hat
+            checked += 1
+    assert checked > 0.9 * table.resid.size
+
+
+def test_fit_grid_results_do_not_depend_on_the_batch():
+    data = _cohort()
+    rng = np.random.default_rng(89)
+    base = [(float(t), float(12.0 - t)) for t in range(1, 12)] + [(50.0, 1.0)]
+    # a shuffled grid that repeats points, more than one block's worth in a cell
+    grid = [base[i] for i in rng.integers(len(base), size=90)] + [base[3]] * 40
+    rng.shuffle(grid)
+    want = {(fp.t0, fp.s0): fp for fp in fit_grid(data, base, 1.0, with_variance=True)}
+    got = fit_grid(data, grid, 1.0, with_variance=True)
+    assert [(fp.t0, fp.s0) for fp in got] == grid
+    for fp in got:
+        ref = want[(fp.t0, fp.s0)]
+        assert (fp.status, fp.n_eff) == (ref.status, ref.n_eff)
+        if fp.status == STATUS_OK:
+            np.testing.assert_array_equal(fp.beta_hat, ref.beta_hat)
+            np.testing.assert_array_equal(fp.v_hat, ref.v_hat)
+            np.testing.assert_array_equal(
+                fp.v_hat, sandwich_variance(data, fp.t0, fp.s0, 1.0))
+    assert want[(50.0, 1.0)].status == STATUS_EMPTY

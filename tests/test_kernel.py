@@ -94,3 +94,13 @@ def test_constructor_validation(bad):
 def test_moments_quadrature_floor():
     with pytest.raises(ValueError):
         kernel_moments(DEFAULT_KERNEL, quadrature_n=32)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(truncation_radius=math.inf),
+    dict(normalizer=math.inf),
+    dict(normalizer=math.nan),
+])
+def test_constructor_rejects_nonfinite(bad):
+    with pytest.raises(ValueError):
+        Kernel(**bad)

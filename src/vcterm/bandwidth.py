@@ -60,7 +60,7 @@ class CVResult:
 
 def make_folds(data: Dataset, k: int, seed: int) -> FoldAssignment:
     """Uniform random balanced partition; censored subjects get no fold."""
-    ids = [s.id for s in data.subjects if s.event_observed]
+    ids = [i for i, e in zip(data.ids, data.event_observed) if e]
     if k < 2:
         raise ValueError("need at least 2 folds")
     if k > len(ids):

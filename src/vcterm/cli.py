@@ -22,9 +22,10 @@ from . import svg as svgmod
 from .bandwidth import select_bandwidth
 from .data import Dataset
 from .errors import DataError, NumericalError, UsageError, VctermError
-from .experiments import run_study
-from .fit import (STATUS_OK, confidence_interval, local_fit, sandwich_variance,
-                  slice_fit, standard_errors)
+from .experiments import GridSpec, run_study
+from .fit import (STATUS_OK, confidence_interval, fit_grid, local_fit, normal_quantile,
+                  sandwich_variance, standard_errors)
+from .io import fmt_cell
 from .kernel import DEFAULT_KERNEL, kernel_moments
 from .simulate import gen_dataset
 
@@ -140,12 +141,8 @@ def _emit_rows(fmt: str, header, rows, meta: dict, stream=None):
         payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
         # dumps takes the C encoder; dump would encode chunk by chunk in Python
         stream.write(json.dumps(payload, sort_keys=True, default=_json_default) + "\n")
-        return
-    for key in sorted(meta):
-        stream.write(f"# {key}={meta[key]}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_cell(v) for v in row) + "\n")
+    else:
+        iomod.write_table(stream, meta, header, rows)
 
 
 def _json_default(v):
@@ -154,17 +151,17 @@ def _json_default(v):
     raise TypeError(f"not serializable: {type(v)}")
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    return str(v)
+def _estimates(fp, n_cc: int, z: float) -> list[tuple]:
+    """(estimate, se, lower, upper) per coefficient of a fit with variance."""
+    se = standard_errors(fp, n_cc)
+    ci = confidence_interval(fp, n_cc, se=se, z=z)
+    return list(zip(fp.beta_hat.tolist(), se.tolist(), *ci.T.tolist()))
 
 
 def cmd_fit(args) -> int:
     dataset = _load(args)
     _need_complete_cases(dataset)
+    z = normal_quantile(args.alpha)
     fp = local_fit(dataset, args.t0, args.s0, args.h)
     if fp.status != STATUS_OK:
         raise NumericalError(
@@ -172,14 +169,9 @@ def cmd_fit(args) -> int:
         )
     fp.v_hat = sandwich_variance(dataset, args.t0, args.s0, args.h)
     n_cc = dataset.n_complete_case
-    ci = confidence_interval(fp, n_cc, args.alpha)
-    se = standard_errors(fp, n_cc)
-    rows = [
-        (k + 1, float(fp.beta_hat[k]), float(se[k]), float(ci[k, 0]), float(ci[k, 1]))
-        for k in range(dataset.p)
-    ]
-    meta = {"t0": _cell(args.t0), "s0": _cell(args.s0), "h": _cell(args.h),
-            "alpha": _cell(args.alpha), "n_complete_case": n_cc,
+    rows = [(k + 1, *est) for k, est in enumerate(_estimates(fp, n_cc, z))]
+    meta = {"t0": fmt_cell(args.t0), "s0": fmt_cell(args.s0), "h": fmt_cell(args.h),
+            "alpha": fmt_cell(args.alpha), "n_complete_case": n_cc,
             "n_eff": fp.n_eff, "status": fp.status}
     _emit_rows(args.fmt, ("coef", "estimate", "se", "lower", "upper"), rows, meta)
     return 0
@@ -194,34 +186,26 @@ def cmd_slice(args) -> int:
     _need_complete_cases(dataset)
     if args.svg and not args.out_dir:
         raise DataError("--svg needs --out-dir")
-    n_cc = dataset.n_complete_case
+    n_cc, z = dataset.n_complete_case, normal_quantile(args.alpha)
     all_rows = []
     per_slice = {}
     for T in args.T:
         if not (math.isfinite(T) and 0.0 < args.t_step < math.inf):
             raise UsageError("--T must be finite and --t-step positive and finite")
-        count = int(math.floor((T - 1e-9) / args.t_step))
-        if count < 1:
+        points = GridSpec(slice_T=(T,), slice_t_step=args.t_step).eval_points()
+        if not points:
             raise DataError(f"slice T={T:g} leaves no interior points at step {args.t_step:g}")
-        ts = [i * args.t_step for i in range(1, count + 1)]
-        fits = slice_fit(dataset, T, ts, args.h, with_variance=True)
+        fits = fit_grid(dataset, points, args.h, with_variance=True)
         rows = []
         for fp in fits:
-            if fp.status == STATUS_OK:
-                ci = confidence_interval(fp, n_cc, args.alpha)
-                se = standard_errors(fp, n_cc)
-                for k in range(dataset.p):
-                    rows.append((T, fp.t0, fp.s0, k + 1, float(fp.beta_hat[k]),
-                                 float(se[k]), float(ci[k, 0]), float(ci[k, 1]),
-                                 fp.n_eff, fp.status))
-            else:
-                for k in range(dataset.p):
-                    rows.append((T, fp.t0, fp.s0, k + 1, None, None, None, None,
-                                 fp.n_eff, fp.status))
+            ests = (_estimates(fp, n_cc, z) if fp.status == STATUS_OK
+                    else [(None,) * 4] * dataset.p)
+            rows += [(T, fp.t0, fp.s0, k + 1, *est, fp.n_eff, fp.status)
+                     for k, est in enumerate(ests)]
         per_slice[T] = rows
         all_rows.extend(rows)
 
-    meta = {"h": _cell(args.h), "alpha": _cell(args.alpha), "n_complete_case": n_cc}
+    meta = {"h": fmt_cell(args.h), "alpha": fmt_cell(args.alpha), "n_complete_case": n_cc}
     if args.out_dir is None:
         _emit_rows(args.fmt, _SLICE_HEADER, all_rows, meta)
         return 0
@@ -230,7 +214,7 @@ def cmd_slice(args) -> int:
         name = ("slice_T%g" % T).replace(".", "_")
         path = os.path.join(args.out_dir, name + ".csv")
         with open(path, "w", encoding="utf-8") as fh:
-            _emit_rows("csv", _SLICE_HEADER, rows, {**meta, "T": _cell(T)}, stream=fh)
+            _emit_rows("csv", _SLICE_HEADER, rows, {**meta, "T": fmt_cell(T)}, stream=fh)
         if args.svg:
             _slice_svg(os.path.join(args.out_dir, name + ".svg"), T, rows, dataset.p)
     print(f"wrote {len(per_slice)} slice tables to {args.out_dir}", file=sys.stderr)
@@ -269,9 +253,9 @@ def cmd_cv(args) -> int:
         (h, None if math.isinf(s) else s, e)
         for h, s, e in zip(result.h_grid, result.scores, result.excluded_fraction)
     ]
-    meta = {"h_selected": _cell(result.h_selected),
-            "h_undersmoothed": _cell(result.h_undersmoothed),
-            "factor": _cell(result.factor), "gamma": _cell(result.gamma),
+    meta = {"h_selected": fmt_cell(result.h_selected),
+            "h_undersmoothed": fmt_cell(result.h_undersmoothed),
+            "factor": fmt_cell(result.factor), "gamma": fmt_cell(result.gamma),
             "n_used": result.n_used, "n_complete_case": dataset.n_complete_case,
             "folds": result.folds, "seed": result.seed}
     _emit_rows(args.fmt, ("h", "score", "excluded_fraction"), rows, meta)
@@ -322,8 +306,8 @@ def cmd_kernel_moments(args) -> int:
         ("mu2_yy", moments.mu2[1, 1]),
     ]
     meta = {"quadrature_n": args.quadrature_n,
-            "truncation_radius": _cell(DEFAULT_KERNEL.truncation_radius),
-            "normalizer": _cell(DEFAULT_KERNEL.normalizer)}
+            "truncation_radius": fmt_cell(DEFAULT_KERNEL.truncation_radius),
+            "normalizer": fmt_cell(DEFAULT_KERNEL.normalizer)}
     _emit_rows(args.fmt, ("moment", "value"), rows, meta)
     return 0
 

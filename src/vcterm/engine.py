@@ -35,19 +35,19 @@ class View:
     """Complete-case observations sorted by visit time, with stacked features F."""
 
     def __init__(self, dataset: Dataset):
-        cc = [s for s in dataset.subjects if s.event_observed]
+        cc = dataset.event_observed
         p = self.p = dataset.p
-        self.n_subjects = len(cc)
-        self.subject_ids = tuple(s.id for s in cc)
-        counts = [s.n_visits for s in cc]
-        t = np.concatenate([np.empty(0)] + [s.times for s in cc])
+        self.n_subjects = int(np.count_nonzero(cc))
+        self.subject_ids = tuple(i for i, e in zip(dataset.ids, cc) if e)
+        rows, counts = np.repeat(cc, dataset.counts), dataset.counts[cc]
+        t = dataset.times[rows]
         order = np.argsort(t, kind="stable")
         self.t, self.n_obs = t[order], t.size
         # residual lifetime at each visit; followup_end is the event time here
-        self.s = np.repeat([s.followup_end for s in cc], counts)[order] - self.t
-        self.X = np.vstack([np.empty((0, p))] + [s.covariates for s in cc])[order]
-        self.y = np.concatenate([np.empty(0)] + [s.responses for s in cc])[order]
-        self.subj = np.repeat(np.arange(len(cc)), counts)[order]
+        self.s = np.repeat(dataset.followup_end[cc], counts)[order] - self.t
+        self.X = dataset.covariates[rows][order]
+        self.y = dataset.responses[rows][order]
+        self.subj = np.repeat(np.arange(self.n_subjects), counts)[order]
         outer = self.X[:, :, None] * self.X[:, None, :]
         self.F = np.hstack([outer.reshape(-1, p * p), self.X * self.y[:, None]])
 

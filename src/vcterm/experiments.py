@@ -15,7 +15,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from .bandwidth import CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, select_bandwidth
 from .data import Dataset
 from .errors import DataError
 from .fit import (DEFAULT_KERNEL, STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR,
-                  Kernel, fit_grid, standard_errors)
+                  Kernel, fit_grid, normal_quantile, standard_errors)
+from .io import fmt_cell, write_table
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
 H_POLICIES = ("fixed", "cv-once", "cv-per-rep")
@@ -158,8 +158,9 @@ def truth_matrix(sim: SimConfig, points) -> np.ndarray:
 
 
 def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
-                     kernel: Kernel, points) -> RepRecord:
-    ds, _ = gen_dataset(config.sim, seed_seq=seed_seq)
+                     kernel: Kernel, points, ds: Dataset | None = None) -> RepRecord:
+    """One replication on its cohort ds, generated from seed_seq when not given."""
+    ds = gen_dataset(config.sim, seed_seq=seed_seq)[0] if ds is None else ds
     if h is None:
         cv = select_bandwidth(ds, h_grid=config.cv.h_grid, k=config.cv.folds,
                               seed=config.cv.seed, gamma=config.gamma, kernel=kernel)
@@ -179,36 +180,21 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
 
 
 def _record_rows(record: RepRecord, points):
-    rows = []
+    def cell(v):
+        return v if math.isfinite(v) else None
+
     G, p = record.estimate.shape
-    for g in range(G):
-        name = _STATUS_NAME[int(record.status[g])]
-        for k in range(p):
-            est = record.estimate[g, k]
-            sev = record.se[g, k]
-            rows.append((record.rep, g, points[g][0], points[g][1], k + 1,
-                         record.h,
-                         est if math.isfinite(est) else None,
-                         sev if math.isfinite(sev) else None,
-                         name))
-    return rows
+    return [(record.rep, g, points[g][0], points[g][1], k + 1, record.h,
+             cell(record.estimate[g, k]), cell(record.se[g, k]),
+             _STATUS_NAME[int(record.status[g])])
+            for g in range(G) for k in range(p)]
 
 
 _RECORD_HEADER = ("rep", "point", "t", "s", "coef", "h", "estimate", "se", "status")
 
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    return str(v)
-
-
 def _append_partial(path: str, rows, lock: threading.Lock):
-    text = "".join(",".join(_format_cell(v) for v in row) + "\n" for row in rows)
+    text = "".join(",".join(fmt_cell(v) for v in row) + "\n" for row in rows)
     with lock:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(text)
@@ -263,7 +249,7 @@ def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepR
 def aggregate_records(config: StudyConfig, points, truth, records) -> StudyResult:
     """Reduce per-replication records in replication order."""
     G, p = truth.shape
-    z = NormalDist().inv_cdf(1.0 - config.alpha / 2.0)
+    z = normal_quantile(config.alpha)
     mean_est = np.full((G, p), np.nan)
     emp_sd = np.full((G, p), np.nan)
     mean_se = np.full((G, p), np.nan)
@@ -314,19 +300,18 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
     seqs = replication_seed_sequences(config.sim.seed, R)
     fingerprint = study_fingerprint(config, kernel)
 
-    cv_result = None
+    cv_result = ds0 = None
     h0: float | None = None
     if config.h_policy == "fixed":
         h0 = float(config.h_fixed)
     elif config.h_policy == "cv-once":
+        # the selection cohort is replication 0's cohort, which fits on it too
         ds0, _ = gen_dataset(config.sim, seed_seq=seqs[0])
         cv_result = select_bandwidth(
             ds0, h_grid=config.cv.h_grid, k=config.cv.folds, seed=config.cv.seed,
             gamma=config.gamma, kernel=kernel, threads=threads,
         )
         h0 = cv_result.h_undersmoothed
-        # first replication re-derives its seed substream below; the selection
-        # cohort and the fitted cohort for rep 0 are identical by construction
 
     done: dict[int, RepRecord] = {}
     partial_path = None
@@ -346,7 +331,8 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
     lock = threading.Lock()
 
     def work(rep: int) -> RepRecord:
-        record = _run_replication(config, rep, seqs[rep], h0, kernel, points)
+        record = _run_replication(config, rep, seqs[rep], h0, kernel, points,
+                                  ds0 if rep == 0 else None)
         if partial_path is not None:
             _append_partial(partial_path, _record_rows(record, points), lock)
         return record
@@ -385,12 +371,9 @@ class HeatmapTable:
     valid: np.ndarray     # same shape, ints
 
     def rows(self):
-        out = []
-        for j, s in enumerate(self.s_values):
-            for i, t in enumerate(self.t_values):
-                c = self.coverage[j, i]
-                out.append((t, s, None if math.isnan(c) else c, int(self.valid[j, i])))
-        return out
+        return [(t, s, None if math.isnan(self.coverage[j, i]) else self.coverage[j, i],
+                 int(self.valid[j, i]))
+                for j, s in enumerate(self.s_values) for i, t in enumerate(self.t_values)]
 
 
 def coverage_heatmap(result: StudyResult, coefficient: int) -> HeatmapTable:
@@ -408,9 +391,7 @@ def coverage_heatmap(result: StudyResult, coefficient: int) -> HeatmapTable:
     k = coefficient - 1
     for j, s in enumerate(s_vals):
         for i, t in enumerate(t_vals):
-            g = index.get((t, s))
-            if g is None:
-                raise ValueError("evaluation grid is not rectangular; cannot build a heatmap")
+            g = index[(t, s)]  # distinct points, as many as t_vals x s_vals: all present
             val[j, i] = result.valid[g]
             if result.valid[g] > 0:
                 cov[j, i] = result.coverage[g, k]
@@ -436,19 +417,11 @@ class SliceTable:
     valid: np.ndarray          # (nt,)
 
     def rows(self):
-        out = []
-        p = self.truth.shape[1]
-        for i in range(self.t.size):
-            for k in range(p):
-                out.append((
-                    k + 1, float(self.t[i]), float(self.s[i]),
-                    float(self.truth[i, k]), self.mean_estimate[i, k],
-                    self.emp_sd[i, k], self.mean_se[i, k],
-                    self.lower_emp[i, k], self.upper_emp[i, k],
-                    self.lower_est[i, k], self.upper_est[i, k],
-                    int(self.valid[i]),
-                ))
-        return out
+        return [(k + 1, float(self.t[i]), float(self.s[i]), float(self.truth[i, k]),
+                 *(a[i, k] for a in (self.mean_estimate, self.emp_sd, self.mean_se,
+                                     self.lower_emp, self.upper_emp, self.lower_est,
+                                     self.upper_est)), int(self.valid[i]))
+                for i in range(self.t.size) for k in range(self.truth.shape[1])]
 
 
 def slice_summary(result: StudyResult, T_fixed: float, atol: float = 1e-9) -> SliceTable:
@@ -459,7 +432,7 @@ def slice_summary(result: StudyResult, T_fixed: float, atol: float = 1e-9) -> Sl
     if idx.size == 0:
         raise ValueError(f"no evaluation points on the slice t + s = {T_fixed}")
     idx = idx[np.argsort(result.points[idx, 0])]
-    z = NormalDist().inv_cdf(1.0 - result.config.alpha / 2.0)
+    z = normal_quantile(result.config.alpha)
     mean = result.mean_estimate[idx]
     emp = result.emp_sd[idx]
     est = result.mean_se[idx]
@@ -482,11 +455,7 @@ _HEATMAP_HEADER = ("t", "s", "coverage", "valid")
 
 def _write_table(path: str, meta: dict, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        write_table(fh, meta, header, rows)
 
 
 def _nan_none(x: float):
@@ -500,19 +469,14 @@ def write_study_artifacts(result: StudyResult, out_dir: str,
     cfg = result.config
     fingerprint = study_fingerprint(cfg, kernel)
     meta = {"fingerprint": fingerprint, "replications": cfg.replications,
-            "alpha": _format_cell(cfg.alpha), "h_policy": cfg.h_policy}
+            "alpha": fmt_cell(cfg.alpha), "h_policy": cfg.h_policy}
 
-    rows = []
     G, p = result.truth.shape
-    for g in range(G):
-        for k in range(p):
-            rows.append((
-                g, float(result.points[g, 0]), float(result.points[g, 1]), k + 1,
-                float(result.truth[g, k]), _nan_none(result.mean_estimate[g, k]),
-                _nan_none(result.bias[g, k]), _nan_none(result.emp_sd[g, k]),
-                _nan_none(result.mean_se[g, k]), _nan_none(result.coverage[g, k]),
-                _nan_none(result.coverage_mc_se[g, k]), int(result.valid[g]),
-            ))
+    rows = [(g, float(result.points[g, 0]), float(result.points[g, 1]), k + 1,
+             float(result.truth[g, k]), *(_nan_none(a[g, k]) for a in (
+                 result.mean_estimate, result.bias, result.emp_sd, result.mean_se,
+                 result.coverage, result.coverage_mc_se)), int(result.valid[g]))
+            for g in range(G) for k in range(p)]
     _write_table(os.path.join(out_dir, SUMMARY_FILE), meta, _SUMMARY_HEADER, rows)
 
     points = [(float(t), float(s)) for t, s in result.points]
@@ -534,7 +498,7 @@ def write_study_artifacts(result: StudyResult, out_dir: str,
             table = slice_summary(result, float(T))
             name = ("slice_T%g" % float(T)).replace(".", "_") + ".csv"
             _write_table(os.path.join(out_dir, name),
-                         {"fingerprint": fingerprint, "T": _format_cell(float(T))},
+                         {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
                          _SLICE_HEADER,
                          [tuple(_nan_none(v) if isinstance(v, float) else v for v in row)
                           for row in table.rows()])

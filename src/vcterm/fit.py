@@ -140,21 +140,29 @@ def sandwich_variance(data: Dataset, t0: float, s0: float, h: float,
     return fp.v_hat
 
 
-def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05) -> np.ndarray:
-    """Pointwise normal intervals beta_k +/- z_{alpha/2} sqrt(V_kk / (n h^2)).
-
-    n must be the complete-case subject count used by the sandwich.
-    Returns an array of (lower, upper) rows, one per coefficient.
-    """
+def normal_quantile(alpha: float) -> float:
+    """z_{alpha/2}: interval half-width, in standard errors, at level 1 - alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
+def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05,
+                        se: np.ndarray | None = None, z: float | None = None) -> np.ndarray:
+    """Pointwise normal intervals beta_k +/- z_{alpha/2} sqrt(V_kk / (n h^2)).
+
+    n must be the complete-case subject count used by the sandwich. Callers
+    that already hold standard_errors(fit, n) or normal_quantile(alpha) pass
+    them as se and z. Returns an array of (lower, upper) rows, one per
+    coefficient.
+    """
+    z = normal_quantile(alpha) if z is None else z
     if fit.status != STATUS_OK:
         raise FitError(fit.status, fit.n_eff)
     if not n > 0:
         raise ValueError("n must be positive")
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    se = standard_errors(fit, n)
-    return np.column_stack([fit.beta_hat - z * se, fit.beta_hat + z * se])
+    se = standard_errors(fit, n) if se is None else se
+    return np.array([fit.beta_hat - z * se, fit.beta_hat + z * se]).T
 
 
 def standard_errors(fit: FitPoint, n: int) -> np.ndarray:
@@ -162,7 +170,7 @@ def standard_errors(fit: FitPoint, n: int) -> np.ndarray:
     if fit.v_hat is None:
         raise ValueError("fit has no variance; compute sandwich_variance first")
     # tiny negative diagonals are eigen-roundoff from an exact zero
-    return np.sqrt(np.clip(np.diag(fit.v_hat), 0.0, None) / (n * fit.h * fit.h))
+    return np.sqrt(np.maximum(fit.v_hat.diagonal(), 0.0) / (n * fit.h * fit.h))
 
 
 def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL,

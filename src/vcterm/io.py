@@ -9,12 +9,12 @@ with 17 significant digits so a write/load round trip is exact.
 from __future__ import annotations
 
 import csv
-import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Subject
+from .data import Dataset
 from .errors import DataError
 
 REQUIRED_COLUMNS = ("subject_id", "visit_time", "response", "followup_end",
@@ -70,26 +70,149 @@ class IngestionReport:
     diagnostics: list = field(default_factory=list)
 
 
-def _parse_float(text: str, line: int, column: str) -> float:
+BLOCK_ROWS = 512  # rows parsed per block; only one block's strings are alive at once
+
+
+def _numbers(cells):
+    """(float of each cell, mask of the cells that are not numbers; they read NaN)."""
     try:
-        value = float(text)
+        return np.fromiter(map(float, cells), float, len(cells)), np.zeros(len(cells), bool)
     except (TypeError, ValueError):
-        raise ValueError(f"line {line}: {column} {text!r} is not numeric")
-    if not math.isfinite(value):
-        raise ValueError(f"line {line}: {column} must be finite, got {text!r}")
-    return value
+        values, notnum = np.full(len(cells), np.nan), np.zeros(len(cells), bool)
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = float(cell)
+        except (TypeError, ValueError):
+            notnum[i] = True
+    return values, notnum
 
 
-class _RawSubject:
-    __slots__ = ("sid", "first_line", "followup_end", "event_observed", "rows", "bad")
+class _Columns:
+    """A long-format CSV parsed block by block into per-row arrays.
 
-    def __init__(self, sid, first_line):
-        self.sid = sid
-        self.first_line = first_line
-        self.followup_end = None
-        self.event_observed = None
-        self.rows = []  # (line, time, response, xvec)
-        self.bad = None  # subject-level drop reason
+    A row's stage is 0 for an empty subject_id, 1 for a bad followup_end or
+    event_observed (its subject is dropped), 2 for a bad visit_time,
+    response or covariate, and 3 when it parsed.
+    """
+
+    def __init__(self, path, header):
+        self.path = path
+        where = {name: j for j, name in enumerate(header)}  # a repeated name reads its last
+        missing = [c for c in REQUIRED_COLUMNS if c not in where]
+        if missing:
+            raise DataError(f"{path}: missing required columns {missing}")
+        self.names = list(REQUIRED_COLUMNS) + [c for c in header
+                                               if c.startswith(COVARIATE_PREFIX)]
+        self.cols = [where[c] for c in self.names]
+        self.index = {None: -1, "": -1}  # subject id -> code, in order of first appearance
+        # per-row arrays of each block; row diagnostics in file order; their lines
+        self.blocks, self.notes, self.noted = [], [], []
+
+    def block(self, lines, rows):
+        """Parse rows read at these line numbers; each row keeps its first failing check."""
+        B, width = len(rows), max(self.cols) + 1
+        if min(map(len, rows), default=width) < width:  # a short row reads None past its end
+            rows = [r + [None] * (width - len(r)) for r in rows]
+        cells = list(zip(*map(operator.itemgetter(*self.cols), rows))) or [()] * len(self.cols)
+        for sid in dict.fromkeys(cells[0]):
+            self.index.setdefault(sid, len(self.index) - 2)
+        code = np.fromiter(map(self.index.__getitem__, cells[0]), np.intp, B)
+        flag_text = [(v or "").strip() for v in cells[4]]
+        flag = np.array([{"0": 0, "1": 1}.get(v, -1) for v in flag_text], np.int8)
+        # (mask, diagnostic from column name and cell, column, cells) in reading order
+        checks, numbers = [(code < 0, "empty subject_id", None, cells[0])], {}
+        numeric = (3, 1, 2, *range(5, len(self.cols)))  # followup_end, visit_time, response, x
+        for k in numeric:
+            v, notnum = numbers.setdefault(self.cols[k], _numbers(cells[k]))
+            checks += [(notnum, "{0} {1!r} is not numeric", self.names[k], cells[k]),
+                       (~notnum & ~np.isfinite(v), "{0} must be finite, got {1!r}",
+                        self.names[k], cells[k])]
+        checks.insert(3, (flag < 0, "{0} must be 0 or 1, got {1!r}", self.names[4], flag_text))
+        fails = np.array([c[0] for c in checks])
+        first = np.where(fails.any(axis=0), fails.argmax(axis=0), len(checks))
+        rejected = np.flatnonzero(first < len(checks))
+        for i in rejected.tolist():
+            _, note, name, quoted = checks[first[i]]
+            self.notes.append(f"line {lines[i]}: " + note.format(name, quoted[i]))
+        line = np.array(lines, dtype=np.intp)
+        self.noted.append(line[rejected])
+        stage = np.searchsorted([1, 4, len(checks)], first, side="right").astype(np.int8)
+        fup, t, y, *x = (numbers[self.cols[k]][0] for k in numeric)
+        self.blocks.append((line, code, stage, flag, fup, t, y,
+                            np.column_stack(x) if x else np.empty((B, 0))))
+
+    def check(self):
+        """Each subject's follow-up and flag come from its first row where both
+        are valid; a later row that changes either is a fatal error."""
+        line, code, stage, flag, fup, t, y, x = self.rows = [
+            np.concatenate(c) for c in zip(*self.blocks)]
+        n = len(self.index) - 2
+        valid = np.flatnonzero(stage >= 2)
+        _, at = np.unique(code[valid], return_index=True)
+        seeds = valid[at]
+        self.fup, self.flag = np.full(n, np.nan), np.zeros(n, np.int8)
+        self.fup[code[seeds]], self.flag[code[seeds]] = fup[seeds], flag[seeds]
+        vc = code[valid]
+        off = np.flatnonzero((fup[valid] != self.fup[vc]) | (flag[valid] != self.flag[vc]))
+        if off.size:
+            i = valid[off[0]]
+            where, sid = f"{self.path} line {line[i]}", list(self.index)[code[i] + 2]
+            if fup[i] != self.fup[code[i]]:
+                raise DataError(f"{where}: followup_end changed within subject {sid!r} "
+                                f"({float(self.fup[code[i]])!r} -> {float(fup[i])!r})")
+            raise DataError(f"{where}: event_observed changed within subject {sid!r}")
+        nonpositive = seeds[fup[seeds] <= 0]
+        texts = [f"line {ln}: followup_end must be positive"
+                 for ln in line[nonpositive].tolist()] + self.notes
+        # by line, and on one line the follow-up note before the row's own
+        order = np.argsort(np.concatenate([line[nonpositive], *self.noted]), kind="stable")
+        self.notes = [texts[i] for i in order.tolist()]
+        self.bad = np.bincount(code[stage == 1], minlength=n) > 0
+        self.bad[code[nonpositive]] = True
+
+    def finish(self, transform: TransformSpec) -> tuple[Dataset, IngestionReport]:
+        """Reject negative, late and repeated visit times, then build the cohort."""
+        line, code, stage, _, _, t, y, x = self.rows
+        ids, n = list(self.index)[2:], self.bad.size
+        report = IngestionReport(rows_in=line.size, subjects_in=n, diagnostics=self.notes)
+        parsed = np.flatnonzero(stage == 3)
+        dropped = self.bad[code[parsed]]
+        report.rows_from_dropped_subjects = int(np.count_nonzero(dropped))
+        report.rows_rejected = line.size - parsed.size
+        rows = parsed[~dropped]
+        rows = rows[np.lexsort((line[rows], t[rows], code[rows]))]
+        line, code, t, y, x = line[rows], code[rows], t[rows], y[rows], x[rows]
+        fup = self.fup[code]
+        negative, late = t < 0, t > fup
+        start = np.ones(t.size, bool)
+        start[1:] = (code[1:] != code[:-1]) | (t[1:] != t[:-1])
+        first_line = line[np.maximum.accumulate(np.where(start, np.arange(t.size), 0))]
+        keep = start & ~negative & ~late
+        kept = np.bincount(code[keep], minlength=n)
+        empty = np.flatnonzero(~self.bad & (kept == 0))
+        notes = []
+        for i in np.flatnonzero(~keep).tolist():
+            ti = float(t[i])
+            if negative[i]:
+                note = f"negative visit_time {ti!r}"
+            elif late[i]:
+                note = f"visit_time {ti!r} after followup_end {float(fup[i])!r}"
+            else:
+                note = f"duplicate visit_time {ti!r} (first at line {first_line[i]})"
+            notes.append((code[i], i, f"line {line[i]}: {note}"))
+        notes += [(c, t.size, f"subject {ids[c]!r}: no valid visits left, dropped")
+                  for c in empty.tolist()]
+        report.diagnostics += [m for _, _, m in sorted(notes)]
+        report.rows_kept = int(np.count_nonzero(keep))
+        report.rows_rejected += t.size - report.rows_kept
+        report.subjects_dropped = int(np.count_nonzero(self.bad)) + empty.size
+        report.subjects_kept = n - report.subjects_dropped
+        subjects = np.flatnonzero(kept)
+        dataset = Dataset.from_columns(
+            [ids[c] for c in subjects.tolist()], kept[subjects], t[keep],
+            np.column_stack([np.ones(report.rows_kept), x[keep]]), transform.apply(y[keep]),
+            self.fup[subjects], self.flag[subjects] == 1)
+        return dataset, report
 
 
 def load_csv(path: str, transform: TransformSpec = TransformSpec()
@@ -100,154 +223,56 @@ def load_csv(path: str, transform: TransformSpec = TransformSpec()
     negative times) reject the row with a line-numbered diagnostic. Invalid
     subject-level fields drop the whole subject. A followup_end or
     event_observed value that changes within a subject is a hard error.
+    Diagnostics list row-level problems in file order, then for each
+    subject, in order of first appearance, its visit rejections in time
+    order and the note that it was dropped.
     """
-    report = IngestionReport()
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, no header")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing required columns {missing}")
-        x_cols = [c for c in reader.fieldnames if c.startswith(COVARIATE_PREFIX)]
-
-        order: list[str] = []
-        groups: dict[str, _RawSubject] = {}
-        for row in reader:
-            line = reader.line_num
-            report.rows_in += 1
-            sid = row.get("subject_id") or ""
-            if not sid:
-                report.rows_rejected += 1
-                report.diagnostics.append(f"line {line}: empty subject_id")
-                continue
-            raw = groups.get(sid)
-            if raw is None:
-                raw = _RawSubject(sid, line)
-                groups[sid] = raw
-                order.append(sid)
-
-            # subject-level fields first: consistency is a hard error
-            try:
-                fup = _parse_float(row.get("followup_end"), line, "followup_end")
-                flag_text = (row.get("event_observed") or "").strip()
-                if flag_text not in ("0", "1"):
-                    raise ValueError(
-                        f"line {line}: event_observed must be 0 or 1, got {flag_text!r}"
-                    )
-                flag = flag_text == "1"
-            except ValueError as exc:
-                raw.rows.append((line, None, None, None))
-                report.diagnostics.append(str(exc))
-                if raw.bad is None:
-                    raw.bad = str(exc)
-                continue
-            if raw.followup_end is None:
-                raw.followup_end = fup
-                raw.event_observed = flag
-                if fup <= 0:
-                    raw.bad = f"line {line}: followup_end must be positive"
-                    report.diagnostics.append(raw.bad)
-            else:
-                if fup != raw.followup_end:
-                    raise DataError(
-                        f"{path} line {line}: followup_end changed within "
-                        f"subject {sid!r} ({raw.followup_end!r} -> {fup!r})"
-                    )
-                if flag != raw.event_observed:
-                    raise DataError(
-                        f"{path} line {line}: event_observed changed within subject {sid!r}"
-                    )
-
-            try:
-                t = _parse_float(row.get("visit_time"), line, "visit_time")
-                y = _parse_float(row.get("response"), line, "response")
-                x = [_parse_float(row.get(c), line, c) for c in x_cols]
-            except ValueError as exc:
-                raw.rows.append((line, None, None, None))
-                report.diagnostics.append(str(exc))
-                continue
-            raw.rows.append((line, t, y, x))
-
-    report.subjects_in = len(order)
-    subjects = []
-    for sid in order:
-        raw = groups[sid]
-        if raw.bad is not None:
-            report.subjects_dropped += 1
-            report.rows_from_dropped_subjects += sum(
-                1 for r in raw.rows if r[1] is not None
-            )
-            report.rows_rejected += sum(1 for r in raw.rows if r[1] is None)
-            continue
-        kept = []
-        seen_times = {}
-        for line, t, y, x in sorted(
-            (r for r in raw.rows if r[1] is not None), key=lambda r: (r[1], r[0])
-        ):
-            if t < 0:
-                report.rows_rejected += 1
-                report.diagnostics.append(f"line {line}: negative visit_time {t!r}")
-            elif t > raw.followup_end:
-                report.rows_rejected += 1
-                report.diagnostics.append(
-                    f"line {line}: visit_time {t!r} after followup_end {raw.followup_end!r}"
-                )
-            elif t in seen_times:
-                report.rows_rejected += 1
-                report.diagnostics.append(
-                    f"line {line}: duplicate visit_time {t!r} (first at line {seen_times[t]})"
-                )
-            else:
-                seen_times[t] = line
-                kept.append((t, y, x))
-        report.rows_rejected += sum(1 for r in raw.rows if r[1] is None)
-        if not kept:
-            report.subjects_dropped += 1
-            report.diagnostics.append(
-                f"subject {sid!r}: no valid visits left, dropped"
-            )
-            continue
-        times = np.array([r[0] for r in kept])
-        responses = transform.apply(np.array([r[1] for r in kept]))
-        covs = np.column_stack(
-            [np.ones(len(kept))] + [np.array([r[2][j] for r in kept])
-                                    for j in range(len(x_cols))]
-        )
-        subjects.append(Subject(sid, times, covs, responses,
-                                raw.followup_end, raw.event_observed))
-        report.subjects_kept += 1
-        report.rows_kept += len(kept)
-
-    dataset = Dataset(subjects, p=1 + len(x_cols))
-    return dataset, report
+        columns, lines, rows = _Columns(path, header), [], []
+        try:
+            for row in reader:
+                if row:  # blank lines are skipped, as csv.DictReader skips them
+                    lines.append(reader.line_num)
+                    rows.append(row)
+                    if len(rows) == BLOCK_ROWS:
+                        columns.block(lines, rows)
+                        lines, rows = [], []
+        finally:  # a changed follow-up before a read error is reported instead
+            columns.block(lines, rows)
+            columns.check()
+    return columns.finish(transform)
 
 
-def fmt_float(x: float) -> str:
-    return _FLOAT_FMT % float(x)
-
-
-def covariate_headers(p: int) -> list[str]:
-    """Non-intercept covariate column names x_2 .. x_p."""
-    return [f"{COVARIATE_PREFIX}{k}" for k in range(2, p + 1)]
+def fmt_cell(v) -> str:
+    """A CSV cell: empty for None, 1/0 for a bool, 17 significant digits for a float."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return _FLOAT_FMT % float(v)
+    return str(v)
 
 
 def write_dataset_csv(dataset: Dataset, path: str):
     """Emit the long format; loading the file back is an exact round trip."""
-    headers = list(REQUIRED_COLUMNS) + covariate_headers(dataset.p)
+    headers = list(REQUIRED_COLUMNS) + [f"{COVARIATE_PREFIX}{k}" for k in range(2, dataset.p + 1)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(headers)
         for s in dataset.subjects:
-            for j in range(s.n_visits):
-                row = [s.id, fmt_float(s.times[j]), fmt_float(s.responses[j]),
-                       fmt_float(s.followup_end), "1" if s.event_observed else "0"]
-                row.extend(fmt_float(v) for v in s.covariates[j, 1:])
-                writer.writerow(row)
+            tail = [fmt_cell(s.followup_end), fmt_cell(s.event_observed)]
+            for t, y, x in zip(s.times.tolist(), s.responses.tolist(),
+                               s.covariates[:, 1:].tolist()):
+                writer.writerow([s.id, fmt_cell(t), fmt_cell(y), *tail, *map(fmt_cell, x)])
 
 
 def write_truth_csv(truths, path: str):
@@ -257,43 +282,18 @@ def write_truth_csv(truths, path: str):
         writer.writerow(["subject_id", "x2", "x3_at_zero", "event_time",
                          "censor_time", "event_observed"])
         for tr in truths:
-            writer.writerow([tr.subject_id, fmt_float(tr.x2), fmt_float(tr.x3_at_zero),
-                             fmt_float(tr.event_time), fmt_float(tr.censor_time),
-                             "1" if tr.event_observed else "0"])
+            writer.writerow([tr.subject_id, fmt_cell(tr.x2), fmt_cell(tr.x3_at_zero),
+                             fmt_cell(tr.event_time), fmt_cell(tr.censor_time),
+                             fmt_cell(tr.event_observed)])
 
 
-@dataclass
-class SubsampleResult:
-    dataset: Dataset
-    observations_in: int
-    observations_kept: int
-    subjects_dropped: int
-
-
-def subsample_observation_times(data: Dataset, fraction: float, seed: int
-                                ) -> SubsampleResult:
-    """Keep each observation independently with the given probability.
-
-    Mimics sparser visit schedules. Subjects left with no observations are
-    dropped and counted. Deterministic in (data order, seed).
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    kept_subjects = []
-    kept_obs = 0
-    dropped = 0
-    for s in data.subjects:
-        mask = rng.random(s.n_visits) < fraction
-        if not mask.any():
-            dropped += 1
-            continue
-        kept_obs += int(mask.sum())
-        kept_subjects.append(Subject(s.id, s.times[mask], s.covariates[mask],
-                                     s.responses[mask], s.followup_end,
-                                     s.event_observed))
-    return SubsampleResult(Dataset(kept_subjects, p=data.p), data.n_observations,
-                           kept_obs, dropped)
+def write_table(stream, meta: dict, header, rows):
+    """CSV with `# key=value` comment lines first, as read_table reads it."""
+    for key in sorted(meta):
+        stream.write(f"# {key}={meta[key]}\n")
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(fmt_cell(v) for v in row) + "\n")
 
 
 def read_table(path: str) -> tuple[dict, list[str], list[dict]]:

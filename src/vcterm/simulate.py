@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Subject
+from .data import Dataset
 from .errors import NumericalError
 
 BETA_MODES = ("surfaces", "constant")
@@ -239,8 +239,7 @@ def gen_dataset(config: SimConfig,
     """
     ss = np.random.SeedSequence(config.seed) if seed_seq is None else seed_seq
     children = spawn_stateless(ss, config.n)
-    subjects = []
-    truths = []
+    subjects, truths = [], []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         taus = gen_visit_times(rng, config.m, config.nu)
@@ -251,13 +250,12 @@ def gen_dataset(config: SimConfig,
         t_event, t_cens = gen_event_times(rng, x2, x3_0, config)
         eps = gen_errors(rng, taus, config)
 
-        followup = min(t_event, t_cens)
-        keep = taus <= followup
+        sid = f"s{i:06d}"
+        truths.append(TruthRecord(sid, x2, x3_0, t_event, t_cens, t_event <= t_cens))
+        keep = taus <= min(t_event, t_cens)
         kept_t = taus[keep]
         if kept_t.size == 0:
             # only possible when shift < 1; such subjects carry no observations
-            truths.append(TruthRecord(f"s{i:06d}", x2, x3_0, t_event, t_cens,
-                                      t_event <= t_cens))
             continue
         columns = [np.ones(kept_t.size), np.full(kept_t.size, x2), x3_visits[keep]]
         X = np.column_stack(columns[: config.p])
@@ -265,13 +263,10 @@ def gen_dataset(config: SimConfig,
         y = eps[keep].copy()
         for k in range(1, config.p + 1):
             y += X[:, k - 1] * beta_value(config, k, kept_t, s_axis)
-
-        sid = f"s{i:06d}"
-        subjects.append(
-            Subject(sid, kept_t, X, y, followup_end=followup,
-                    event_observed=t_event <= t_cens)
-        )
-        truths.append(
-            TruthRecord(sid, x2, x3_0, t_event, t_cens, t_event <= t_cens)
-        )
-    return Dataset(subjects, p=config.p), truths
+        subjects.append((sid, kept_t, X, y, min(t_event, t_cens), t_event <= t_cens))
+    ids, times, covs, resps, followups, flags = zip(*subjects) if subjects else [()] * 6
+    dataset = Dataset.from_columns(
+        ids, [t.size for t in times], np.concatenate((np.empty(0),) + times),
+        np.vstack((np.empty((0, config.p)),) + covs), np.concatenate((np.empty(0),) + resps),
+        followups, flags)
+    return dataset, truths

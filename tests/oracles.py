@@ -7,10 +7,15 @@ is meaningful because the code paths share nothing.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from scipy.stats import chi2
+
+from vcterm.data import Dataset, Subject
+from vcterm.errors import DataError
+from vcterm.io import COVARIATE_PREFIX, REQUIRED_COLUMNS, IngestionReport, TransformSpec
 
 # radius of the 95% disk of the standard bivariate normal
 RADIUS_SQ = float(chi2.ppf(0.95, df=2))
@@ -150,3 +155,163 @@ def dense_kfold_cv(dataset, assignment: dict, h: float, rcond_min: float = 1e-12
     if fraction > max_excluded or not sq:
         return math.inf, fraction
     return math.fsum(sq) / len(sq), fraction
+
+
+# --------------------------------------------------------------------------
+# reference CSV loader
+
+
+def _parse_float(text: str, line: int, column: str) -> float:
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"line {line}: {column} {text!r} is not numeric")
+    if not math.isfinite(value):
+        raise ValueError(f"line {line}: {column} must be finite, got {text!r}")
+    return value
+
+
+class _RawSubject:
+    __slots__ = ("sid", "first_line", "followup_end", "event_observed", "rows", "bad")
+
+    def __init__(self, sid, first_line):
+        self.sid = sid
+        self.first_line = first_line
+        self.followup_end = None
+        self.event_observed = None
+        self.rows = []  # (line, time, response, xvec)
+        self.bad = None  # subject-level drop reason
+
+
+def reference_load_csv(path: str, transform=None):
+    """The row-by-row loader that vcterm.io.load_csv replaced.
+
+    It groups rows per subject in Python dicts and builds each Subject on
+    its own; load_csv must give the same Dataset bits, IngestionReport and
+    DataError messages.
+    """
+    transform = TransformSpec() if transform is None else transform
+    report = IngestionReport()
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file, no header")
+        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise DataError(f"{path}: missing required columns {missing}")
+        x_cols = [c for c in reader.fieldnames if c.startswith(COVARIATE_PREFIX)]
+
+        order: list[str] = []
+        groups: dict[str, _RawSubject] = {}
+        for row in reader:
+            line = reader.line_num
+            report.rows_in += 1
+            sid = row.get("subject_id") or ""
+            if not sid:
+                report.rows_rejected += 1
+                report.diagnostics.append(f"line {line}: empty subject_id")
+                continue
+            raw = groups.get(sid)
+            if raw is None:
+                raw = _RawSubject(sid, line)
+                groups[sid] = raw
+                order.append(sid)
+
+            # subject-level fields first: consistency is a hard error
+            try:
+                fup = _parse_float(row.get("followup_end"), line, "followup_end")
+                flag_text = (row.get("event_observed") or "").strip()
+                if flag_text not in ("0", "1"):
+                    raise ValueError(
+                        f"line {line}: event_observed must be 0 or 1, got {flag_text!r}"
+                    )
+                flag = flag_text == "1"
+            except ValueError as exc:
+                raw.rows.append((line, None, None, None))
+                report.diagnostics.append(str(exc))
+                if raw.bad is None:
+                    raw.bad = str(exc)
+                continue
+            if raw.followup_end is None:
+                raw.followup_end = fup
+                raw.event_observed = flag
+                if fup <= 0:
+                    raw.bad = f"line {line}: followup_end must be positive"
+                    report.diagnostics.append(raw.bad)
+            else:
+                if fup != raw.followup_end:
+                    raise DataError(
+                        f"{path} line {line}: followup_end changed within "
+                        f"subject {sid!r} ({raw.followup_end!r} -> {fup!r})"
+                    )
+                if flag != raw.event_observed:
+                    raise DataError(
+                        f"{path} line {line}: event_observed changed within subject {sid!r}"
+                    )
+
+            try:
+                t = _parse_float(row.get("visit_time"), line, "visit_time")
+                y = _parse_float(row.get("response"), line, "response")
+                x = [_parse_float(row.get(c), line, c) for c in x_cols]
+            except ValueError as exc:
+                raw.rows.append((line, None, None, None))
+                report.diagnostics.append(str(exc))
+                continue
+            raw.rows.append((line, t, y, x))
+
+    report.subjects_in = len(order)
+    subjects = []
+    for sid in order:
+        raw = groups[sid]
+        if raw.bad is not None:
+            report.subjects_dropped += 1
+            report.rows_from_dropped_subjects += sum(
+                1 for r in raw.rows if r[1] is not None
+            )
+            report.rows_rejected += sum(1 for r in raw.rows if r[1] is None)
+            continue
+        kept = []
+        seen_times = {}
+        for line, t, y, x in sorted(
+            (r for r in raw.rows if r[1] is not None), key=lambda r: (r[1], r[0])
+        ):
+            if t < 0:
+                report.rows_rejected += 1
+                report.diagnostics.append(f"line {line}: negative visit_time {t!r}")
+            elif t > raw.followup_end:
+                report.rows_rejected += 1
+                report.diagnostics.append(
+                    f"line {line}: visit_time {t!r} after followup_end {raw.followup_end!r}"
+                )
+            elif t in seen_times:
+                report.rows_rejected += 1
+                report.diagnostics.append(
+                    f"line {line}: duplicate visit_time {t!r} (first at line {seen_times[t]})"
+                )
+            else:
+                seen_times[t] = line
+                kept.append((t, y, x))
+        report.rows_rejected += sum(1 for r in raw.rows if r[1] is None)
+        if not kept:
+            report.subjects_dropped += 1
+            report.diagnostics.append(
+                f"subject {sid!r}: no valid visits left, dropped"
+            )
+            continue
+        times = np.array([r[0] for r in kept])
+        responses = transform.apply(np.array([r[1] for r in kept]))
+        covs = np.column_stack(
+            [np.ones(len(kept))] + [np.array([r[2][j] for r in kept])
+                                    for j in range(len(x_cols))]
+        )
+        subjects.append(Subject(sid, times, covs, responses,
+                                raw.followup_end, raw.event_observed))
+        report.subjects_kept += 1
+        report.rows_kept += len(kept)
+
+    dataset = Dataset(subjects, p=1 + len(x_cols))
+    return dataset, report

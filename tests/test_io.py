@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from vcterm import (
     load_csv,
     parse_transform,
     read_table,
-    subsample_observation_times,
     write_dataset_csv,
     write_truth_csv,
 )
@@ -171,43 +168,6 @@ def test_intercept_injected_and_p_inferred(tmp_path):
     ds2, _ = load_csv(_write(tmp_path, "a,1.0,2.0,5.0,1\n", name="nox.csv",
                              header=no_x))
     assert ds2.p == 1
-
-
-def test_subsample_identity_and_determinism():
-    ds, _ = gen_dataset(SimConfig(n=20, seed=5))
-    res = subsample_observation_times(ds, 1.0, seed=0)
-    assert res.observations_kept == ds.n_observations
-    assert res.subjects_dropped == 0
-    for a, b in zip(ds.subjects, res.dataset.subjects):
-        np.testing.assert_array_equal(a.times, b.times)
-
-    r1 = subsample_observation_times(ds, 0.4, seed=9)
-    r2 = subsample_observation_times(ds, 0.4, seed=9)
-    assert r1.observations_kept == r2.observations_kept
-    for a, b in zip(r1.dataset.subjects, r2.dataset.subjects):
-        assert a.id == b.id
-        np.testing.assert_array_equal(a.times, b.times)
-
-
-def test_subsample_keep_rate_is_binomial():
-    ds, _ = gen_dataset(SimConfig(n=400, seed=8))
-    total = ds.n_observations
-    res = subsample_observation_times(ds, 0.3, seed=1)
-    rate = res.observations_kept / total
-    # 5 sigma around 0.3 for a binomial with ~3500 trials
-    sd = math.sqrt(0.3 * 0.7 / total)
-    assert abs(rate - 0.3) < 5 * sd
-    assert res.observations_in == total
-    assert res.observations_kept == sum(s.n_visits
-                                        for s in res.dataset.subjects)
-
-
-def test_subsample_fraction_validation():
-    ds, _ = gen_dataset(SimConfig(n=5, seed=5))
-    with pytest.raises(ValueError):
-        subsample_observation_times(ds, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        subsample_observation_times(ds, 1.5, seed=0)
 
 
 def test_read_table_meta_and_rows(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -210,6 +211,18 @@ def test_gen_dataset_deterministic():
     ds4, _ = gen_dataset(SimConfig(n=30, seed=100))
     assert any(not np.array_equal(a.responses, b.responses)
                for a, b in zip(ds1.subjects, ds4.subjects))
+
+
+def test_gen_dataset_arrays_match_recorded_digest():
+    # recorded with the subject-by-subject generator that from_columns replaced
+    ds, truths = gen_dataset(SimConfig(n=200, seed=20260815))
+    digest = hashlib.sha256("\n".join(ds.ids).encode())
+    for arr in (ds.counts.astype(np.int64), ds.times, ds.covariates, ds.responses,
+                ds.followup_end, ds.event_observed.astype(np.uint8),
+                np.array([[t.x2, t.x3_at_zero, t.event_time, t.censor_time] for t in truths])):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == \
+        "6cb013b0eb981238a65d330cfb9eaec154492c833a952f5de84c840dd8a852ff"
 
 
 def test_gen_dataset_truth_consistency():

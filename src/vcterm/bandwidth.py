@@ -105,12 +105,11 @@ def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:
 
 def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
                      seed: int = 0, gamma: float = DEFAULT_GAMMA,
-                     kernel: Kernel = DEFAULT_KERNEL, threads: int = 1) -> CVResult:
+                     kernel: Kernel = DEFAULT_KERNEL) -> CVResult:
     """Grid-search CV; ties break to the smaller bandwidth.
 
     The undersmoothing factor uses the full cohort size (censored subjects
-    included), matching the design the selector is calibrated for. Scores
-    are computed in the calling thread, so threads changes nothing.
+    included), matching the design the selector is calibrated for.
     """
     grid = tuple(float(h) for h in (default_h_grid() if h_grid is None else h_grid))
     if not grid:

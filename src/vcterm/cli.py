@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the relevant random seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads of study; results do not depend on this")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--transform", default="none", choices=("none", "log1000"),
                         help="response transform applied on load")
     parser.add_argument("--format", default="csv", choices=("csv", "json"),
@@ -187,17 +188,23 @@ def cmd_slice(args) -> int:
     if args.svg and not args.out_dir:
         raise DataError("--svg needs --out-dir")
     n_cc, z = dataset.n_complete_case, normal_quantile(args.alpha)
-    all_rows = []
-    per_slice = {}
+    slices = []  # (T, number of points), in --T order
+    points = []
     for T in args.T:
         if not (math.isfinite(T) and 0.0 < args.t_step < math.inf):
             raise UsageError("--T must be finite and --t-step positive and finite")
-        points = GridSpec(slice_T=(T,), slice_t_step=args.t_step).eval_points()
-        if not points:
+        pts = GridSpec(slice_T=(T,), slice_t_step=args.t_step).eval_points()
+        if not pts:
             raise DataError(f"slice T={T:g} leaves no interior points at step {args.t_step:g}")
-        fits = fit_grid(dataset, points, args.h, with_variance=True)
+        slices.append((T, len(pts)))
+        points += pts
+    # one batch for every slice: the residual pass runs once
+    fits = iter(fit_grid(dataset, points, args.h, with_variance=True))
+    all_rows = []
+    per_slice = {}  # a repeated T writes one file
+    for T, count in slices:
         rows = []
-        for fp in fits:
+        for fp in itertools.islice(fits, count):
             ests = (_estimates(fp, n_cc, z) if fp.status == STATUS_OK
                     else [(None,) * 4] * dataset.p)
             rows += [(T, fp.t0, fp.s0, k + 1, *est, fp.n_eff, fp.status)
@@ -280,8 +287,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = cfgmod.load_study_config(args.config, seed_override=args.seed)
-    result = run_study(cfg, threads=max(1, args.threads), out_dir=args.out_dir,
-                       resume=not args.no_resume)
+    result = run_study(cfg, out_dir=args.out_dir, resume=not args.no_resume)
     print(
         f"study complete: {cfg.replications} replications, "
         f"{result.points.shape[0]} grid points -> {args.out_dir}",

@@ -159,12 +159,9 @@ def study_config_from_mapping(mapping: dict[str, str], seed_override: int | None
     if "replications" not in values:
         raise DataError("study config is missing required key 'replications'")
 
-    grid_kind = values.pop("grid", "slices")
-    grid_kwargs = {"kind": grid_kind}
-    for src, dst in (("slice_T", "slice_T"), ("slice_t_step", "slice_t_step"),
-                     ("rect_t", "rect_t"), ("rect_s", "rect_s"), ("points", "points")):
-        if src in values:
-            grid_kwargs[dst] = values.pop(src)
+    grid_kwargs = {key: values.pop(key) for key in
+                   ("slice_T", "slice_t_step", "rect_t", "rect_s", "points") if key in values}
+    grid_kwargs["kind"] = values.pop("grid", "slices")
     cv_kwargs = {}
     if "cv_h_grid" in values:
         cv_kwargs["h_grid"] = values.pop("cv_h_grid")

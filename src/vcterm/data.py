@@ -136,9 +136,7 @@ class Dataset:
         self.followup_end = np.asarray(followup_end, dtype=float).reshape(-1)
         self.event_observed = np.asarray(event_observed, dtype=bool).reshape(-1)
         self.p = int(covariates.shape[1])
-        # lazy caches used by the fitting layer
-        self._fit_view = None
-        self._resid_cache = {}
+        self._fit_view = None  # the engine's complete-case view, built on first use
 
     @property
     def subjects(self) -> tuple:
@@ -162,7 +160,3 @@ class Dataset:
     @property
     def n_observations(self) -> int:
         return int(self.times.size)
-
-    def complete_case(self) -> "Dataset":
-        """View restricted to subjects whose terminal event was observed."""
-        return Dataset([s for s in self.subjects if s.event_observed], p=self.p)

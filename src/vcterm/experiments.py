@@ -12,8 +12,6 @@ import hashlib
 import json
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -147,7 +145,7 @@ def replication_seed_sequences(seed: int, replications: int):
 
 
 def study_fingerprint(config: StudyConfig, kernel: Kernel = DEFAULT_KERNEL) -> str:
-    """Hash identifying a study's configuration and kernel (not its thread count)."""
+    """Hash identifying a study's configuration and kernel."""
     return hashlib.sha256(repr((config, kernel)).encode()).hexdigest()[:16]
 
 
@@ -193,12 +191,11 @@ def _record_rows(record: RepRecord, points):
 _RECORD_HEADER = ("rep", "point", "t", "s", "coef", "h", "estimate", "se", "status")
 
 
-def _append_partial(path: str, rows, lock: threading.Lock):
+def _append_partial(path: str, rows):
     text = "".join(",".join(fmt_cell(v) for v in row) + "\n" for row in rows)
-    with lock:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
 
 
 def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepRecord]:
@@ -286,9 +283,12 @@ def aggregate_records(config: StudyConfig, points, truth, records) -> StudyResul
     )
 
 
-def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
+def run_study(config: StudyConfig, out_dir: str | None = None,
               resume: bool = True, kernel: Kernel = DEFAULT_KERNEL) -> StudyResult:
-    """Run (or resume) a replication study; results are independent of threads.
+    """Run (or resume) a replication study, one replication after another.
+
+    Each finished replication's rows are appended to the partial records
+    file at once, so a crash loses at most the replication in progress.
 
     Bandwidth policies: "fixed" uses h_fixed everywhere; "cv-once" selects on
     the first replication's cohort and reuses it; "cv-per-rep" reselects per
@@ -309,7 +309,7 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
         ds0, _ = gen_dataset(config.sim, seed_seq=seqs[0])
         cv_result = select_bandwidth(
             ds0, h_grid=config.cv.h_grid, k=config.cv.folds, seed=config.cv.seed,
-            gamma=config.gamma, kernel=kernel, threads=threads,
+            gamma=config.gamma, kernel=kernel,
         )
         h0 = cv_result.h_undersmoothed
 
@@ -327,25 +327,13 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
                 fh.write(f"# fingerprint={fingerprint}\n")
                 fh.write(",".join(_RECORD_HEADER) + "\n")
 
-    missing = [r for r in range(R) if r not in done]
-    lock = threading.Lock()
-
-    def work(rep: int) -> RepRecord:
-        record = _run_replication(config, rep, seqs[rep], h0, kernel, points,
-                                  ds0 if rep == 0 else None)
+    for rep in range(R):
+        if rep in done:
+            continue
+        done[rep] = _run_replication(config, rep, seqs[rep], h0, kernel, points,
+                                     ds0 if rep == 0 else None)
         if partial_path is not None:
-            _append_partial(partial_path, _record_rows(record, points), lock)
-        return record
-
-    if threads > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(work, rep): rep for rep in missing}
-            for fut in as_completed(futures):
-                record = fut.result()
-                done[record.rep] = record
-    else:
-        for rep in missing:
-            done[rep] = work(rep)
+            _append_partial(partial_path, _record_rows(done[rep], points))
 
     result = aggregate_records(config, points, truth,
                                [done[r] for r in range(R)])
@@ -353,7 +341,7 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir: str | None = None,
     if out_dir is not None:
         write_study_artifacts(result, out_dir, kernel)
         # the scratch file only matters for crash recovery; removing it keeps
-        # the finished directory identical across runs and thread counts
+        # the finished directory identical across fresh and resumed runs
         if partial_path is not None and os.path.exists(partial_path):
             os.remove(partial_path)
     return result

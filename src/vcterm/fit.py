@@ -101,22 +101,16 @@ def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> Resid
     """Residual of every complete-case observation against its own local fit.
 
     Each observation (i, j) is compared with x_ij' beta_hat(tau_ij, Ti - tau_ij)
-    at the same bandwidth. Tables are cached per (h, kernel) on the dataset.
+    at the same bandwidth.
     """
     view = view_of(data)
-    key = (float(h), kernel)
-    cached = data._resid_cache.get(key)
-    if cached is not None:
-        return cached
     sol = solve(view, view.t, view.s, float(h), kernel)
     valid = sol.status == 0
     resid = np.full(view.n_obs, np.nan)
     resid[valid] = view.y[valid] - predict(view, sol.beta[valid], valid)
     ids = tuple(view.subject_ids[j] for j in view.subj)
-    table = ResidualTable(h=float(h), subject_ids=ids, times=view.t.copy(),
-                          resid=resid, valid=valid)
-    data._resid_cache[key] = table
-    return table
+    return ResidualTable(h=float(h), subject_ids=ids, times=view.t.copy(),
+                         resid=resid, valid=valid)
 
 
 def sandwich_variance(data: Dataset, t0: float, s0: float, h: float,
@@ -174,12 +168,11 @@ def standard_errors(fit: FitPoint, n: int) -> np.ndarray:
 
 
 def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL,
-             with_variance: bool = False, threads: int = 1) -> list[FitPoint]:
+             with_variance: bool = False) -> list[FitPoint]:
     """Fit every (t0, s0) in the grid; per-point failures never abort the grid.
 
     With with_variance the residual table is computed once and shared by all
-    points. Results are ordered like the input grid; the grid is one batch
-    in the calling thread, so threads changes nothing.
+    points. Results are ordered like the input grid.
     """
     points = [(float(t), float(s)) for t, s in grid]
     if not points:
@@ -189,8 +182,7 @@ def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL,
 
 
 def slice_fit(data: Dataset, T_fixed: float, t_values, h: float,
-              kernel: Kernel = DEFAULT_KERNEL, with_variance: bool = False,
-              threads: int = 1) -> list[FitPoint]:
+              kernel: Kernel = DEFAULT_KERNEL, with_variance: bool = False) -> list[FitPoint]:
     """Fits along the line t + s = T_fixed, i.e. fixed total event time."""
     T_fixed = float(T_fixed)
     ts = [float(t) for t in t_values]
@@ -200,4 +192,4 @@ def slice_fit(data: Dataset, T_fixed: float, t_values, h: float,
         if not 0.0 <= t < T_fixed:
             raise ValueError(f"slice time t={t} outside [0, T_fixed)")
     grid = [(t, T_fixed - t) for t in ts]
-    return fit_grid(data, grid, h, kernel, with_variance=with_variance, threads=threads)
+    return fit_grid(data, grid, h, kernel, with_variance=with_variance)

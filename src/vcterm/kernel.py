@@ -30,13 +30,10 @@ class Kernel:
     moment diagnostics change.
     """
 
-    profile: str = "gaussian"
     truncation_radius: float = DEFAULT_RADIUS
     normalizer: float | None = None
 
     def __post_init__(self):
-        if self.profile != "gaussian":
-            raise ValueError(f"unknown kernel profile: {self.profile!r}")
         if not 0.0 < self.truncation_radius < math.inf:
             raise ValueError("truncation_radius must be positive and finite")
         if self.normalizer is None:

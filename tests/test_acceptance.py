@@ -201,7 +201,7 @@ def coverage_study():
                       slice_t_step=1.0),
     )
     start = time.perf_counter()
-    result = run_study(cfg, threads=4)
+    result = run_study(cfg)
     elapsed = time.perf_counter() - start
     return result, elapsed
 

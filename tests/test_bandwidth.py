@@ -180,7 +180,7 @@ def test_select_bandwidth_deterministic():
     b = select_bandwidth(data, h_grid=(2.0, 3.0, 4.0), k=3, seed=7)
     assert a.scores == b.scores
     assert a.h_selected == b.h_selected
-    c = select_bandwidth(data, h_grid=(2.0, 3.0, 4.0), k=3, seed=7, threads=3)
+    c = select_bandwidth(data, h_grid=(2.0, 3.0, 4.0), k=3, seed=7)
     assert c.scores == a.scores
     assert c.h_selected == a.h_selected
 

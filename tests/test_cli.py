@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -220,6 +221,23 @@ def test_slice_stdout_and_artifacts(noiseless_csv, tmp_path, capsys):
     assert smeta["T"] == "8"
     assert len(srows) == 9
 
+    # all slices fit in one batch; a repeated T prints its rows again
+    single = []
+    for T in ("8", "12", "8"):
+        assert main(["slice", "--data", noiseless_csv, "--T", T, "--t-step", "2",
+                     "--h", "3"]) == 0
+        single += _parse_table(capsys.readouterr().out)[2]
+    argv = ["slice", "--data", noiseless_csv, "--T", "8", "--T", "12", "--T", "8",
+            "--t-step", "2", "--h", "3"]
+    assert main(argv) == 0
+    assert _parse_table(capsys.readouterr().out)[2] == single
+    rep_dir = tmp_path / "repeated"
+    assert main(argv + ["--out-dir", str(rep_dir)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(rep_dir)) == ["slice_T12.csv", "slice_T8.csv"]
+    for name in ("slice_T8.csv", "slice_T12.csv"):
+        assert (rep_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
 
 def test_slice_validation_errors(noiseless_csv, capsys):
     assert main(["slice", "--data", noiseless_csv, "--T", "0.5",
@@ -230,14 +248,21 @@ def test_slice_validation_errors(noiseless_csv, capsys):
     capsys.readouterr()
 
 
-def test_study_cli_thread_invariant(tmp_path, capsys):
+def test_study_cli_thread_invariant(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "study.conf"
     cfg.write_text(STUDY_CONFIG, encoding="utf-8")
     dir1 = tmp_path / "out1"
     dir2 = tmp_path / "out2"
     assert main(["study", "--config", str(cfg), "--out-dir", str(dir1)]) == 0
+
+    def no_threads(self):
+        raise AssertionError("study started a thread")
+
+    # --threads is accepted but every replication runs in the calling thread
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
     assert main(["study", "--config", str(cfg), "--out-dir", str(dir2),
                  "--threads", "2"]) == 0
+    monkeypatch.undo()
     capsys.readouterr()
     names = sorted(os.listdir(dir1))
     assert names == sorted(os.listdir(dir2))

@@ -61,9 +61,6 @@ def test_dataset_counts_and_complete_case():
     assert ds.n_subjects == 3
     assert ds.n_complete_case == 2
     assert ds.n_observations == 7
-    cc = ds.complete_case()
-    assert [s.id for s in cc.subjects] == ["a", "c"]
-    assert cc.n_subjects == 2
 
 
 def test_dataset_rejects_mixed_p():

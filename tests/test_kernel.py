@@ -79,7 +79,6 @@ def test_default_normalizer_value():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(profile="epanechnikov"),
     dict(truncation_radius=0.0),
     dict(truncation_radius=-1.0),
     dict(truncation_radius=math.nan),

@@ -25,7 +25,7 @@ from .data import Dataset
 from .errors import DataError, NumericalError, UsageError, VctermError
 from .experiments import GridSpec, run_study
 from .fit import (STATUS_OK, confidence_interval, fit_grid, local_fit, normal_quantile,
-                  sandwich_variance, standard_errors)
+                  standard_errors)
 from .io import fmt_cell
 from .kernel import DEFAULT_KERNEL, kernel_moments
 from .simulate import gen_dataset
@@ -168,7 +168,6 @@ def cmd_fit(args) -> int:
         raise NumericalError(
             f"fit at ({args.t0:g}, {args.s0:g}) failed: {fp.status} (n_eff={fp.n_eff})"
         )
-    fp.v_hat = sandwich_variance(dataset, args.t0, args.s0, args.h)
     n_cc = dataset.n_complete_case
     rows = [(k + 1, *est) for k, est in enumerate(_estimates(fp, n_cc, z))]
     meta = {"t0": fmt_cell(args.t0), "s0": fmt_cell(args.s0), "h": fmt_cell(args.h),

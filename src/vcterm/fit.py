@@ -61,40 +61,48 @@ class ResidualTable:
         return int(self.valid.size - np.count_nonzero(self.valid))
 
 
-def _fit_points(data: Dataset, points, h: float, kernel: Kernel,
+def _fit_points(data: Dataset, points, h: float, kernel: Kernel, with_variance: bool,
                 resid: ResidualTable | None = None) -> list[FitPoint]:
-    """One engine pass over the points; with resid, sandwich variances too."""
+    """One engine pass over the points; with_variance adds sandwich variances.
+
+    The variances use resid when given, else the residual table at h, which
+    is built only when some point fits.
+    """
     view = view_of(data)
     t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
     weights = {}
     sol = solve(view, t0, s0, h, kernel, weights=weights)
     h = float(h)
-    eps = None if resid is None else np.where(resid.valid, resid.resid, 0.0)
-    out = []
-    for i, status in enumerate(sol.status):
-        ok = status == 0
-        fp = FitPoint(float(t0[i]), float(s0[i]), h, sol.beta[i] if ok else None,
-                      None, int(sol.n_eff[i]), STATUSES[status])
-        if ok and resid is not None:
-            cand, w = weights[i]
-            G = np.zeros((view.n_subjects, view.p))
-            np.add.at(G, view.subj[cand], (w * eps[cand])[:, None] * view.X[cand])
-            A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
-            V = view.n_subjects * h * h * (A_inv @ (G.T @ G) @ A_inv)
-            fp.v_hat = 0.5 * (V + V.T)
-        out.append(fp)
+    ok = sol.status == 0
+    out = [FitPoint(float(t0[i]), float(s0[i]), h, sol.beta[i] if ok[i] else None,
+                    None, int(sol.n_eff[i]), STATUSES[status])
+           for i, status in enumerate(sol.status)]
+    if not (with_variance and ok.any()):
+        return out
+    resid = residuals(data, h, kernel) if resid is None else resid
+    eps = np.where(resid.valid, resid.resid, 0.0)
+    for i in np.flatnonzero(ok).tolist():
+        cand, w = weights[i]
+        G = np.zeros((view.n_subjects, view.p))
+        np.add.at(G, view.subj[cand], (w * eps[cand])[:, None] * view.X[cand])
+        A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
+        V = view.n_subjects * h * h * (A_inv @ (G.T @ G) @ A_inv)
+        out[i].v_hat = 0.5 * (V + V.T)
     return out
 
 
 def local_fit(data: Dataset, t0: float, s0: float, h: float,
               kernel: Kernel = DEFAULT_KERNEL) -> FitPoint:
-    """Pointwise estimate at (t0, s0); never raises on thin support.
+    """Pointwise estimate at (t0, s0) with its sandwich variance; never raises on thin support.
 
     status is "empty_support" when fewer weighted observations than
     coefficients fall in the kernel disk, "singular" when the Gram matrix
     fails the reciprocal-condition test. Callers decide whether to skip.
+    An ok fit carries v_hat, from the same solve and the residual table at h;
+    a failed one has none and skips the residual pass. To fit many points,
+    use fit_grid, which shares one residual table.
     """
-    return _fit_points(data, [(t0, s0)], h, kernel)[0]
+    return _fit_points(data, [(t0, s0)], h, kernel, with_variance=True)[0]
 
 
 def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> ResidualTable:
@@ -123,12 +131,12 @@ def sandwich_variance(data: Dataset, t0: float, s0: float, h: float,
     come from the same bandwidth; invalid ones contribute zero to M. Raises
     FitError on empty support or a singular Gram matrix.
     """
-    resid = residuals(data, h, kernel) if resid is None else resid
-    if resid.h != float(h):
-        raise ValueError("residual table was computed at a different bandwidth")
-    if resid.resid.shape[0] != view_of(data).n_obs:
-        raise ValueError("residual table does not match this dataset")
-    fp = _fit_points(data, [(t0, s0)], h, kernel, resid)[0]
+    if resid is not None:
+        if resid.h != float(h):
+            raise ValueError("residual table was computed at a different bandwidth")
+        if resid.resid.shape[0] != view_of(data).n_obs:
+            raise ValueError("residual table does not match this dataset")
+    fp = _fit_points(data, [(t0, s0)], h, kernel, with_variance=True, resid=resid)[0]
     if fp.status != STATUS_OK:
         raise FitError(fp.status, fp.n_eff)
     return fp.v_hat
@@ -171,14 +179,13 @@ def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL,
              with_variance: bool = False) -> list[FitPoint]:
     """Fit every (t0, s0) in the grid; per-point failures never abort the grid.
 
-    With with_variance the residual table is computed once and shared by all
-    points. Results are ordered like the input grid.
+    With with_variance the residual table is computed once, when some point
+    fits, and shared by all points. Results are ordered like the input grid.
     """
     points = [(float(t), float(s)) for t, s in grid]
     if not points:
         raise ValueError("grid must contain at least one point")
-    resid = residuals(data, h, kernel) if with_variance else None
-    return _fit_points(data, points, h, kernel, resid)
+    return _fit_points(data, points, h, kernel, with_variance=with_variance)
 
 
 def slice_fit(data: Dataset, T_fixed: float, t_values, h: float,

@@ -21,6 +21,7 @@ BETA_MODES = ("surfaces", "constant")
 
 _CLAMP = 1e-12
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+BLOCK_SUBJECTS = 32  # subjects per stacked factorization; bounds the stacks' memory for any n
 
 
 @dataclass(frozen=True)
@@ -154,25 +155,43 @@ def _chol_with_jitter(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+def _cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Cholesky factors of one covariance or of a stack, in one numpy call.
+
+    When any matrix is rejected, each matrix of the stack climbs the jitter
+    ladder of _chol_with_jitter on its own; one that needs no jitter gets
+    the same factor either way.
+    """
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        flat = sigma.reshape((-1,) + sigma.shape[-2:])
+        return np.stack([_chol_with_jitter(s)[0] for s in flat]).reshape(sigma.shape)
+
+
+def _correlate(sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L @ z per covariance, with L its Cholesky factor and z its standard normals."""
+    return np.matmul(_cholesky(sigma), z[..., None])[..., 0]
+
+
 def covariate_covariance(times) -> np.ndarray:
-    """Joint covariance of (X2, X3(t) for t in times)."""
+    """Joint covariance of (X2, X3(t) for t in times); a stack for stacked times."""
     t = np.asarray(times, dtype=float)
-    dim = t.size + 1
-    sigma = np.empty((dim, dim))
-    sigma[0, 0] = 1.0
+    dim = t.shape[-1] + 1
+    sigma = np.empty(t.shape[:-1] + (dim, dim))
+    sigma[..., 0, 0] = 1.0
     cross = 0.8 * np.exp(-t * t)
-    sigma[0, 1:] = cross
-    sigma[1:, 0] = cross
-    diff = t[:, None] - t[None, :]
-    sigma[1:, 1:] = np.exp(-diff * diff)
+    sigma[..., 0, 1:] = cross
+    sigma[..., 1:, 0] = cross
+    diff = t[..., :, None] - t[..., None, :]
+    sigma[..., 1:, 1:] = np.exp(-diff * diff)
     return sigma
 
 
 def gen_covariates(rng: np.random.Generator, times) -> tuple[float, np.ndarray]:
     """One draw of (X2, X3 path on the given times)."""
-    sigma = covariate_covariance(times)
-    L, _ = _chol_with_jitter(sigma)
-    draw = L @ rng.standard_normal(sigma.shape[0])
+    t = np.asarray(times, dtype=float)
+    draw = _correlate(covariate_covariance(t), rng.standard_normal(t.size + 1))
     return float(draw[0]), draw[1:]
 
 
@@ -185,23 +204,36 @@ def trunc_exp_inverse(u: float, rate: float, upper: float) -> float:
     return -math.log1p(u * math.expm1(-rate * upper)) / rate
 
 
+def _event_times(u_event: float, u_cens: float, x2: float, x3_0: float,
+                 config: SimConfig) -> tuple[float, float]:
+    """(event time, censoring time) from their two uniforms."""
+    rate_t = _rate(config.event_coefs, x2, x3_0)
+    rate_c = _rate(config.censor_coefs, x2, x3_0)
+    return (config.shift + trunc_exp_inverse(u_event, rate_t, config.truncation),
+            config.shift + trunc_exp_inverse(u_cens, rate_c, config.truncation))
+
+
 def gen_event_times(rng: np.random.Generator, x2: float, x3_0: float,
                     config: SimConfig) -> tuple[float, float]:
     """(event time, censoring time), both in [shift, shift + truncation]."""
-    rate_t = _rate(config.event_coefs, x2, x3_0)
-    rate_c = _rate(config.censor_coefs, x2, x3_0)
-    t = config.shift + trunc_exp_inverse(float(rng.uniform()), rate_t, config.truncation)
-    c = config.shift + trunc_exp_inverse(float(rng.uniform()), rate_c, config.truncation)
-    return t, c
+    u_event = float(rng.uniform())
+    return _event_times(u_event, float(rng.uniform()), x2, x3_0, config)
 
 
 def error_covariance(times, config: SimConfig) -> np.ndarray:
-    """Covariance of the correlated error component on the given times."""
+    """Covariance of the correlated error component on the given times;
+    a stack for stacked times."""
     t = np.asarray(times, dtype=float)
     a, b = config.error_var_params
     sd = np.exp(0.5 * (a + b * t))
-    gaps = np.abs(t[:, None] - t[None, :])
-    return np.outer(sd, sd) * config.error_corr_base**gaps
+    gaps = np.abs(t[..., :, None] - t[..., None, :])
+    return sd[..., :, None] * sd[..., None, :] * config.error_corr_base**gaps
+
+
+def _errors(times, z_corr, z_white, config: SimConfig) -> np.ndarray:
+    """Correlated component from z_corr plus white noise from z_white."""
+    return (_correlate(error_covariance(times, config), z_corr)
+            + math.sqrt(config.white_noise_var) * z_white)
 
 
 def gen_errors(rng: np.random.Generator, times, config: SimConfig) -> np.ndarray:
@@ -209,11 +241,8 @@ def gen_errors(rng: np.random.Generator, times, config: SimConfig) -> np.ndarray
     t = np.asarray(times, dtype=float)
     if config.zero_errors:
         return np.zeros(t.size)
-    sigma = error_covariance(t, config)
-    L, _ = _chol_with_jitter(sigma)
-    u = L @ rng.standard_normal(t.size)
-    z = math.sqrt(config.white_noise_var) * rng.standard_normal(t.size)
-    return u + z
+    z_corr = rng.standard_normal(t.size)
+    return _errors(t, z_corr, rng.standard_normal(t.size), config)
 
 
 def spawn_stateless(seq: np.random.SeedSequence, count: int):
@@ -235,38 +264,55 @@ def gen_dataset(config: SimConfig,
 
     Visits after min(event, censoring) are discarded; responses are built
     from the true event time even for censored subjects. Per-subject draw
-    order is fixed: visits, covariates, event times, errors.
+    order is fixed: visit times, covariate normals, event and censoring
+    uniforms, error normals. The loop over subjects only draws; the
+    covariance algebra then runs on stacks of BLOCK_SUBJECTS subjects, which
+    gives every subject the bits it would get on its own.
     """
     ss = np.random.SeedSequence(config.seed) if seed_seq is None else seed_seq
-    children = spawn_stateless(ss, config.n)
-    subjects, truths = [], []
-    for i, child in enumerate(children):
+    n, m = config.n, config.m
+    taus = np.empty((n, m))
+    z_cov, uniforms = np.empty((n, m + 2)), np.empty((n, 2))
+    z_corr, z_white = np.empty((n, m)), np.empty((n, m))  # unused under zero_errors
+    for i, child in enumerate(spawn_stateless(ss, n)):
         rng = np.random.default_rng(child)
-        taus = gen_visit_times(rng, config.m, config.nu)
-        # X3 is also sampled at time zero, where the event rates look at it
-        x2, x3 = gen_covariates(rng, np.concatenate(([0.0], taus)))
-        x3_0 = float(x3[0])
-        x3_visits = x3[1:]
-        t_event, t_cens = gen_event_times(rng, x2, x3_0, config)
-        eps = gen_errors(rng, taus, config)
+        taus[i] = gen_visit_times(rng, m, config.nu)
+        rng.standard_normal(out=z_cov[i])
+        uniforms[i] = rng.uniform(size=2)
+        if not config.zero_errors:
+            rng.standard_normal(out=z_corr[i])
+            rng.standard_normal(out=z_white[i])
 
-        sid = f"s{i:06d}"
-        truths.append(TruthRecord(sid, x2, x3_0, t_event, t_cens, t_event <= t_cens))
-        keep = taus <= min(t_event, t_cens)
-        kept_t = taus[keep]
-        if kept_t.size == 0:
-            # only possible when shift < 1; such subjects carry no observations
-            continue
-        columns = [np.ones(kept_t.size), np.full(kept_t.size, x2), x3_visits[keep]]
-        X = np.column_stack(columns[: config.p])
-        s_axis = t_event - kept_t
-        y = eps[keep].copy()
-        for k in range(1, config.p + 1):
-            y += X[:, k - 1] * beta_value(config, k, kept_t, s_axis)
-        subjects.append((sid, kept_t, X, y, min(t_event, t_cens), t_event <= t_cens))
-    ids, times, covs, resps, followups, flags = zip(*subjects) if subjects else [()] * 6
+    # X3 is also sampled at time zero, where the event rates look at it
+    t_cov = np.concatenate((np.zeros((n, 1)), taus), axis=1)
+    cov = np.empty((n, m + 2))  # X2, X3(0), X3 at the visits
+    eps = np.zeros((n, m))
+    for lo in range(0, n, BLOCK_SUBJECTS):
+        rows = slice(lo, lo + BLOCK_SUBJECTS)
+        cov[rows] = _correlate(covariate_covariance(t_cov[rows]), z_cov[rows])
+        if not config.zero_errors:
+            eps[rows] = _errors(taus[rows], z_corr[rows], z_white[rows], config)
+
+    x2, x3_0 = cov[:, 0].tolist(), cov[:, 1].tolist()
+    events = [_event_times(u_t, u_c, a, b, config)
+              for (u_t, u_c), a, b in zip(uniforms.tolist(), x2, x3_0)]
+    truths = [TruthRecord(f"s{i:06d}", a, b, t, c, t <= c)
+              for i, (a, b, (t, c)) in enumerate(zip(x2, x3_0, events))]
+    t_event, t_cens = np.array(events).T
+    followup = np.minimum(t_event, t_cens)
+    keep = taus <= followup[:, None]
+    counts = np.count_nonzero(keep, axis=1)
+    kept_t = taus[keep]
+    X = np.column_stack([np.ones(kept_t.size), np.repeat(cov[:, 0], counts),
+                         cov[:, 2:][keep]][: config.p])
+    s_axis = np.repeat(t_event, counts) - kept_t
+    y = eps[keep]
+    for k in range(1, config.p + 1):
+        y += X[:, k - 1] * beta_value(config, k, kept_t, s_axis)
+    # subjects without a visit before follow-up ends (only when shift < 1)
+    # keep their truth row but carry no observations
+    with_visits = np.flatnonzero(counts)
     dataset = Dataset.from_columns(
-        ids, [t.size for t in times], np.concatenate((np.empty(0),) + times),
-        np.vstack((np.empty((0, config.p)),) + covs), np.concatenate((np.empty(0),) + resps),
-        followups, flags)
+        [truths[i].subject_id for i in with_visits], counts[with_visits], kept_t, X, y,
+        followup[with_visits], (t_event <= t_cens)[with_visits])
     return dataset, truths

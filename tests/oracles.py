@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from vcterm.data import Dataset, Subject
-from vcterm.errors import DataError
+from vcterm.errors import DataError, NumericalError
 from vcterm.io import COVARIATE_PREFIX, REQUIRED_COLUMNS, IngestionReport, TransformSpec
 
 # radius of the 95% disk of the standard bivariate normal
@@ -315,3 +315,71 @@ def reference_load_csv(path: str, transform=None):
 
     dataset = Dataset(subjects, p=1 + len(x_cols))
     return dataset, report
+
+
+# --------------------------------------------------------------------------
+# reference cohort generator
+
+_JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def _reference_correlate(sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L @ z for one covariance, with the per-matrix jitter ladder."""
+    eye = np.eye(sigma.shape[0])
+    for jit in _JITTERS:
+        try:
+            L = np.linalg.cholesky(sigma + jit * eye if jit else sigma)
+        except np.linalg.LinAlgError:
+            continue
+        return L @ z
+    raise NumericalError(
+        f"covariance factorization failed after jitter up to {_JITTERS[-1]:g} "
+        f"(dim={sigma.shape[0]})")
+
+
+def reference_gen_dataset(config, seed_seq=None):
+    """The subject-by-subject generator that vcterm.simulate.gen_dataset replaced.
+
+    Each subject builds and factors its own two covariance matrices and its
+    own responses; gen_dataset must give the same Dataset bits and the same
+    TruthRecords.
+    """
+    from vcterm.simulate import (TruthRecord, beta_value, gen_event_times,
+                                 gen_visit_times, spawn_stateless)
+
+    ss = np.random.SeedSequence(config.seed) if seed_seq is None else seed_seq
+    subjects, truths = [], []
+    for i, child in enumerate(spawn_stateless(ss, config.n)):
+        rng = np.random.default_rng(child)
+        taus = gen_visit_times(rng, config.m, config.nu)
+        t = np.concatenate(([0.0], taus))
+        cov = np.empty((t.size + 1, t.size + 1))
+        cov[0, 0] = 1.0
+        cov[0, 1:] = cov[1:, 0] = 0.8 * np.exp(-t * t)
+        cov[1:, 1:] = np.exp(-np.subtract.outer(t, t) ** 2)
+        draw = _reference_correlate(cov, rng.standard_normal(t.size + 1))
+        x2, x3_0, x3_visits = float(draw[0]), float(draw[1]), draw[2:]
+        t_event, t_cens = gen_event_times(rng, x2, x3_0, config)
+        if config.zero_errors:
+            eps = np.zeros(taus.size)
+        else:
+            a, b = config.error_var_params
+            sd = np.exp(0.5 * (a + b * taus))
+            cov = np.outer(sd, sd) * config.error_corr_base ** np.abs(
+                np.subtract.outer(taus, taus))
+            eps = _reference_correlate(cov, rng.standard_normal(taus.size))
+            eps = eps + math.sqrt(config.white_noise_var) * rng.standard_normal(taus.size)
+
+        sid = f"s{i:06d}"
+        truths.append(TruthRecord(sid, x2, x3_0, t_event, t_cens, t_event <= t_cens))
+        keep = taus <= min(t_event, t_cens)
+        kept_t = taus[keep]
+        if kept_t.size == 0:
+            continue
+        X = np.column_stack([np.ones(kept_t.size), np.full(kept_t.size, x2),
+                             x3_visits[keep]][: config.p])
+        y = eps[keep].copy()
+        for k in range(1, config.p + 1):
+            y += X[:, k - 1] * beta_value(config, k, kept_t, t_event - kept_t)
+        subjects.append(Subject(sid, kept_t, X, y, min(t_event, t_cens), t_event <= t_cens))
+    return Dataset(subjects, p=config.p), truths

@@ -152,11 +152,11 @@ def test_aggregates_match_numpy_oracle():
         np.sqrt(result.coverage * (1 - result.coverage) / 6), atol=1e-12)
 
 
-def test_run_study_thread_count_invariance(tmp_path):
+def test_run_study_repeats_byte_identical(tmp_path):
     grid = GridSpec(kind="slices", slice_T=(8.0,), slice_t_step=2.0)
     cfg = _small_study(replications=4, grid=grid)
-    dir1 = tmp_path / "t1"
-    dir2 = tmp_path / "t4"
+    dir1 = tmp_path / "first"
+    dir2 = tmp_path / "second"
     r1 = run_study(cfg, out_dir=str(dir1))
     r2 = run_study(cfg, out_dir=str(dir2))
     np.testing.assert_array_equal(r1.mean_estimate, r2.mean_estimate)

@@ -248,19 +248,31 @@ def test_bandwidth_must_be_positive():
         residuals(data, -1.0)
 
 
-def test_fit_grid_matches_pointwise_and_is_thread_safe():
+def test_fit_grid_matches_pointwise_and_repeats_bit_for_bit():
     rng = np.random.default_rng(73)
     data = oracles.make_tiny_dataset(rng, 10, 2)
     grid = [(0.5, 0.5), (1.0, 1.0), (1.5, 0.8), (2.0, 1.2), (2.5, 0.6)]
-    seq = fit_grid(data, grid, H_WIDE, with_variance=True)
-    par = fit_grid(data, grid, H_WIDE, with_variance=True)
-    assert len(seq) == len(grid)
-    for a, b, pt in zip(seq, par, grid):
+    first = fit_grid(data, grid, H_WIDE, with_variance=True)
+    second = fit_grid(data, grid, H_WIDE, with_variance=True)
+    assert len(first) == len(grid)
+    for a, b, pt in zip(first, second, grid):
         assert (a.t0, a.s0) == pt
         np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
         np.testing.assert_array_equal(a.v_hat, b.v_hat)
         single = local_fit(data, pt[0], pt[1], H_WIDE)
         np.testing.assert_array_equal(a.beta_hat, single.beta_hat)
+
+
+def test_local_fit_carries_the_sandwich_variance():
+    rng = np.random.default_rng(83)
+    data = oracles.make_tiny_dataset(rng, 10, 2)
+    fp = local_fit(data, 1.0, 1.0, H_WIDE)
+    plain = fit_grid(data, [(1.0, 1.0)], H_WIDE)[0]
+    assert plain.v_hat is None
+    assert fp.beta_hat.tobytes() == plain.beta_hat.tobytes()
+    assert fp.v_hat.tobytes() == sandwich_variance(data, 1.0, 1.0, H_WIDE).tobytes()
+    far = local_fit(data, 500.0, 500.0, H_WIDE)
+    assert far.status == STATUS_EMPTY and far.v_hat is None
 
 
 def test_fit_grid_survives_unsupported_points():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import vcterm.simulate as simulate
 from vcterm import (
     SimConfig,
     beta_interarrival_params,
@@ -20,7 +22,10 @@ from vcterm import (
     true_beta,
     trunc_exp_inverse,
 )
-from vcterm.simulate import _chol_with_jitter
+from vcterm.errors import NumericalError
+from vcterm.simulate import _chol_with_jitter, _cholesky
+
+import oracles
 
 
 def test_true_beta_frozen_values():
@@ -126,6 +131,21 @@ def test_chol_zero_jitter_when_well_conditioned():
     np.testing.assert_allclose(L @ L.T, sigma, atol=1e-14)
 
 
+def test_stacked_cholesky_falls_back_per_matrix():
+    good = covariate_covariance([0.0, 1.0, 5.0])
+    bad = covariate_covariance([0.0, 1e-9, 2e-9])  # needs jitter
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(bad)
+    L = _cholesky(np.stack([good, bad]))
+    assert L.shape == (2, 4, 4)
+    assert L[0].tobytes() == np.linalg.cholesky(good).tobytes()
+    assert L[1].tobytes() == _chol_with_jitter(bad)[0].tobytes()
+    hopeless = -np.eye(4)
+    with pytest.raises(NumericalError,
+                       match=r"^covariance factorization failed after jitter up to 1e-06 \(dim=4\)$"):
+        _cholesky(np.stack([good, hopeless, bad]))
+
+
 def test_trunc_exp_inverse_against_root_finder():
     def cdf(x, rate, upper):
         return -math.expm1(-rate * x) / -math.expm1(-rate * upper)
@@ -223,6 +243,51 @@ def test_gen_dataset_arrays_match_recorded_digest():
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == \
         "6cb013b0eb981238a65d330cfb9eaec154492c833a952f5de84c840dd8a852ff"
+
+
+def _cohort_bits(dataset, truths):
+    arrays = (dataset.counts.astype(np.int64), dataset.times, dataset.covariates,
+              dataset.responses, dataset.followup_end, dataset.event_observed)
+    return (dataset.ids, dataset.p, [a.dtype.str + a.tobytes().hex() for a in arrays],
+            [tuple((type(v).__name__, v.hex() if isinstance(v, float) else v)
+                   for v in dataclasses.astuple(t)) for t in truths])
+
+
+BLOCK = simulate.BLOCK_SUBJECTS
+REFERENCE_CASES = [
+    dict(n=40, seed=1),
+    dict(n=40, seed=2, p=1),
+    dict(n=33, seed=3, p=2, m=7, shift=0.5),
+    dict(n=25, seed=4, m=1),
+    dict(n=20, seed=5, zero_errors=True),
+    dict(n=20, seed=6, beta_mode="constant"),
+    dict(n=20, seed=7, zero_errors=True, beta_mode="constant", p=2),
+    dict(n=50, seed=5, shift=0.0, truncation=0.5),  # some subjects keep no visit
+    dict(n=1, seed=8),
+    dict(n=6, seed=9),
+    dict(n=8, seed=10),
+    dict(n=BLOCK - 1, seed=11),
+    dict(n=BLOCK + 1, seed=12),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, BLOCK], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda c: "-".join(
+    f"{k}={v}" for k, v in c.items()))
+def test_gen_dataset_matches_reference_generator(case, block, monkeypatch):
+    monkeypatch.setattr(simulate, "BLOCK_SUBJECTS", block)
+    cfg = SimConfig(**case)
+    ds, truths = gen_dataset(cfg)
+    assert _cohort_bits(ds, truths) == _cohort_bits(*oracles.reference_gen_dataset(cfg))
+    if cfg.shift == 0.0:
+        assert 0 < ds.n_subjects < cfg.n
+
+
+def test_gen_dataset_matches_reference_with_explicit_seed_seq():
+    cfg = SimConfig(n=BLOCK + 5, seed=0, p=2)
+    seq = np.random.SeedSequence(2024, spawn_key=(3, 1))
+    assert _cohort_bits(*gen_dataset(cfg, seed_seq=seq)) == \
+        _cohort_bits(*oracles.reference_gen_dataset(cfg, seed_seq=seq))
 
 
 def test_gen_dataset_truth_consistency():

@@ -247,11 +247,11 @@ def cmd_cv(args) -> int:
     dataset = _load(args)
     _need_complete_cases(dataset)
     h_grid = None
-    if args.h_grid:
+    if args.h_grid is not None:
         try:
             h_grid = tuple(float(v) for v in args.h_grid.split(","))
         except ValueError:
-            raise DataError(f"--h-grid: expected comma-separated numbers, got {args.h_grid!r}")
+            raise UsageError(f"--h-grid: expected comma-separated numbers, got {args.h_grid!r}")
     seed = 0 if args.seed is None else args.seed
     result = select_bandwidth(dataset, h_grid=h_grid, seed=seed, k=args.folds,
                               gamma=args.gamma)

@@ -109,7 +109,7 @@ def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
 
     A target is "empty_support" when fewer than p observations carry weight,
     "singular" when its Gram matrix fails the reciprocal-condition test.
-    With a weights dict, weights[i] = (cand, w) for every target with support.
+    With a weights dict, weights[i] = (idx, w) lists each supported target's nonzero weights.
     """
     t0, s0 = np.asarray(t0, dtype=float), np.asarray(s0, dtype=float)
     if not (math.isfinite(h) and h > 0):
@@ -125,7 +125,7 @@ def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
         mom[rows] = (block @ Fc)[:rows.size]
         n_eff[rows] = np.count_nonzero(W, axis=1)
         if weights is not None:
-            weights.update((r, (cand, w)) for r, w in zip(rows, W))
+            weights.update((r, (cand[w != 0], w[w != 0])) for r, w in zip(rows, W))
     evals, evecs = np.linalg.eigh(mom[:, :p * p].reshape(B, p, p))
     lam = evals[:, -1]
     status = np.where(n_eff < p, 2, np.where((lam > 0) & (evals[:, 0] >= RCOND_MIN * lam), 0, 1))

@@ -61,13 +61,20 @@ class ResidualTable:
         return int(self.valid.size - np.count_nonzero(self.valid))
 
 
-def _fit_points(data: Dataset, points, h: float, kernel: Kernel, with_variance: bool,
-                resid: ResidualTable | None = None) -> list[FitPoint]:
-    """One engine pass over the points; with_variance adds sandwich variances.
+def _residuals(view, h: float, kernel: Kernel, rows: np.ndarray):
+    """(resid, valid) over all observations; NaN unless in the sorted rows with an ok own fit."""
+    sol = solve(view, view.t[rows], view.s[rows], h, kernel)
+    valid = np.zeros(view.n_obs, dtype=bool)
+    valid[rows[sol.status == 0]] = True
+    resid = np.full(view.n_obs, np.nan)
+    resid[valid] = view.y[valid] - predict(view, sol.beta[sol.status == 0], valid)
+    return resid, valid
 
-    The variances use resid when given, else the residual table at h, which
-    is built only when some point fits.
-    """
+
+def _fit_points(data: Dataset, points, h: float, kernel: Kernel,
+                with_variance: bool) -> list[FitPoint]:
+    """One engine pass over the points; with_variance adds sandwich variances,
+    whose residual pass covers only the observations that ok points weigh."""
     view = view_of(data)
     t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
     weights = {}
@@ -79,12 +86,15 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel, with_variance: 
            for i, status in enumerate(sol.status)]
     if not (with_variance and ok.any()):
         return out
-    resid = residuals(data, h, kernel) if resid is None else resid
-    eps = np.where(resid.valid, resid.resid, 0.0)
-    for i in np.flatnonzero(ok).tolist():
-        cand, w = weights[i]
+    fits = np.flatnonzero(ok).tolist()
+    need = np.zeros(view.n_obs, dtype=bool)
+    need[np.concatenate([weights[i][0] for i in fits])] = True
+    resid, valid = _residuals(view, h, kernel, np.flatnonzero(need))
+    eps = np.where(valid, resid, 0.0)
+    for i in fits:
+        idx, w = weights[i]
         G = np.zeros((view.n_subjects, view.p))
-        np.add.at(G, view.subj[cand], (w * eps[cand])[:, None] * view.X[cand])
+        np.add.at(G, view.subj[idx], (w * eps[idx])[:, None] * view.X[idx])
         A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
         V = view.n_subjects * h * h * (A_inv @ (G.T @ G) @ A_inv)
         out[i].v_hat = 0.5 * (V + V.T)
@@ -97,10 +107,9 @@ def local_fit(data: Dataset, t0: float, s0: float, h: float,
 
     status is "empty_support" when fewer weighted observations than
     coefficients fall in the kernel disk, "singular" when the Gram matrix
-    fails the reciprocal-condition test. Callers decide whether to skip.
-    An ok fit carries v_hat, from the same solve and the residual table at h;
-    a failed one has none and skips the residual pass. To fit many points,
-    use fit_grid, which shares one residual table.
+    fails the reciprocal-condition test. An ok fit carries v_hat, from the
+    same solve and the residuals of the observations in its kernel disk; a
+    failed one has none and skips the residual pass.
     """
     return _fit_points(data, [(t0, s0)], h, kernel, with_variance=True)[0]
 
@@ -112,31 +121,22 @@ def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> Resid
     at the same bandwidth.
     """
     view = view_of(data)
-    sol = solve(view, view.t, view.s, float(h), kernel)
-    valid = sol.status == 0
-    resid = np.full(view.n_obs, np.nan)
-    resid[valid] = view.y[valid] - predict(view, sol.beta[valid], valid)
+    resid, valid = _residuals(view, float(h), kernel, np.arange(view.n_obs))
     ids = tuple(view.subject_ids[j] for j in view.subj)
     return ResidualTable(h=float(h), subject_ids=ids, times=view.t.copy(),
                          resid=resid, valid=valid)
 
 
 def sandwich_variance(data: Dataset, t0: float, s0: float, h: float,
-                      kernel: Kernel = DEFAULT_KERNEL,
-                      resid: ResidualTable | None = None) -> np.ndarray:
+                      kernel: Kernel = DEFAULT_KERNEL) -> np.ndarray:
     """Moment-based sandwich V_hat = n h^2 A^{-1} M A^{-1} at (t0, s0), symmetrized.
 
     M sums outer products of per-subject scores g_i = Xi' Ki eps_i, keeping
-    within-subject correlation; n counts complete-case subjects. Residuals must
+    within-subject correlation; n counts complete-case subjects. Residuals
     come from the same bandwidth; invalid ones contribute zero to M. Raises
     FitError on empty support or a singular Gram matrix.
     """
-    if resid is not None:
-        if resid.h != float(h):
-            raise ValueError("residual table was computed at a different bandwidth")
-        if resid.resid.shape[0] != view_of(data).n_obs:
-            raise ValueError("residual table does not match this dataset")
-    fp = _fit_points(data, [(t0, s0)], h, kernel, with_variance=True, resid=resid)[0]
+    fp = local_fit(data, t0, s0, h, kernel)
     if fp.status != STATUS_OK:
         raise FitError(fp.status, fp.n_eff)
     return fp.v_hat
@@ -179,8 +179,8 @@ def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL,
              with_variance: bool = False) -> list[FitPoint]:
     """Fit every (t0, s0) in the grid; per-point failures never abort the grid.
 
-    With with_variance the residual table is computed once, when some point
-    fits, and shared by all points. Results are ordered like the input grid.
+    With with_variance one residual pass covers the observations that the ok
+    points weigh. Results are ordered like the input grid.
     """
     points = [(float(t), float(s)) for t, s in grid]
     if not points:

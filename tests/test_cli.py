@@ -323,3 +323,10 @@ def test_nonfinite_inputs_are_usage_errors(noiseless_csv, capsys, argv):
     assert main(argv + ["--data", noiseless_csv]) == 2
     err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err_line["code"] == 2
+
+
+@pytest.mark.parametrize("h_grid", ["abc", "1,,2", ""])
+def test_malformed_h_grid_is_usage_error(noiseless_csv, capsys, h_grid):
+    assert main(["cv", "--data", noiseless_csv, "--h-grid", h_grid]) == 2
+    err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err_line["code"] == 2 and "--h-grid" in err_line["error"]

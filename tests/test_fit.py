@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vcterm import (
+    DEFAULT_KERNEL,
     Dataset,
     FitError,
     Kernel,
@@ -11,12 +12,14 @@ from vcterm import (
     Subject,
     confidence_interval,
     fit_grid,
+    kernel_eval,
     local_fit,
     residuals,
     sandwich_variance,
     slice_fit,
     standard_errors,
 )
+from vcterm import fit as fit_module
 from vcterm.fit import FitPoint
 
 import oracles
@@ -73,15 +76,6 @@ def test_sandwich_symmetric_psd():
     np.testing.assert_array_equal(V, V.T)
     evals = np.linalg.eigvalsh(V)
     assert evals.min() >= -1e-12 * max(evals.max(), 1.0)
-
-
-def test_sandwich_rejects_mismatched_residuals():
-    rng = np.random.default_rng(31)
-    data = oracles.make_tiny_dataset(rng, 8, 2)
-    t0, s0 = oracles.interior_target(data, rng)
-    table = residuals(data, 2.0)
-    with pytest.raises(ValueError):
-        sandwich_variance(data, t0, s0, H_WIDE, resid=table)
 
 
 def test_residuals_match_dense_oracle():
@@ -344,3 +338,60 @@ def test_fit_grid_results_do_not_depend_on_the_batch():
             np.testing.assert_array_equal(
                 fp.v_hat, sandwich_variance(data, fp.t0, fp.s0, 1.0))
     assert want[(50.0, 1.0)].status == STATUS_EMPTY
+
+
+def _visits(data):
+    """(t, s) of every complete-case visit, as two arrays."""
+    cc = [s for s in data.subjects if s.event_observed]
+    t = np.concatenate([s.times for s in cc])
+    return t, np.concatenate([s.followup_end - s.times for s in cc])
+
+
+def _kernel_weights(t, s, t0, s0, h):
+    return kernel_eval(DEFAULT_KERNEL, (t - t0) / h, (s - s0) / h)
+
+
+def test_residual_pass_covers_only_the_weighted_visits(monkeypatch):
+    data = _cohort()
+    batches = []
+    real = fit_module.solve
+
+    def recording(view, t0, s0, *args, **kwargs):
+        batches.append((np.array(t0, dtype=float), np.array(s0, dtype=float)))
+        return real(view, t0, s0, *args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "solve", recording)
+    t, s = _visits(data)
+    fp = local_fit(data, 2.0, 6.0, 0.7)
+    assert fp.status == STATUS_OK and fp.v_hat is not None
+    assert len(batches) == 2
+    weighed = _kernel_weights(t, s, 2.0, 6.0, 0.7) != 0
+    pass_t, pass_s = batches[1]
+    assert pass_t.size == np.count_nonzero(weighed) < t.size
+    assert set(zip(pass_t, pass_s)) == set(zip(t[weighed], s[weighed]))
+
+    batches.clear()
+    far = local_fit(data, 50.0, 1.0, 0.7)
+    assert far.status == STATUS_EMPTY and far.v_hat is None
+    assert len(batches) == 1
+
+
+def test_lazy_residuals_bit_equal_with_invalid_residuals():
+    # at h=0.4 some visits fail their own fits, and some of them lie inside
+    # the disks of ok targets, where they must count as zero residuals
+    data, h = _cohort(), 0.4
+    t, s = _visits(data)
+    table = residuals(data, h)
+    bad = ~table.valid
+    assert bad.any()
+    end = {sub.id: sub.followup_end for sub in data.subjects}
+    bad_t = table.times[bad]
+    bad_s = np.array([end[sid] for sid, b in zip(table.subject_ids, bad) if b]) - bad_t
+    grid = [(float(a), float(12.0 - a)) for a in range(1, 12)] + list(zip(t.tolist(), s.tolist()))
+    ok = [fp for fp in fit_grid(data, grid, h, with_variance=True) if fp.status == STATUS_OK]
+    assert any((_kernel_weights(bad_t, bad_s, fp.t0, fp.s0, h) != 0).any() for fp in ok)
+    for fp in ok:
+        single = local_fit(data, fp.t0, fp.s0, h)
+        assert fp.beta_hat.tobytes() == single.beta_hat.tobytes()
+        assert np.isfinite(fp.v_hat).all()
+        assert fp.v_hat.tobytes() == single.v_hat.tobytes()

@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .engine import predict, solve, view_of
+from .engine import View
+from .fit import _residuals
 from .kernel import DEFAULT_KERNEL, Kernel
 
 DEFAULT_GAMMA = 1.0 / 20.0
@@ -79,15 +80,14 @@ def cv_score(data: Dataset, folds: FoldAssignment, h: float,
     from the average; if more than MAX_EXCLUDED_FRACTION are excluded the
     score is +inf.
     """
-    view = view_of(data)
+    view = View(data)
     if view.n_obs == 0:
         raise ValueError("no complete-case observations to cross-validate")
     obs_fold = np.array([folds.assignment[sid] for sid in view.subject_ids])[view.subj]
     # each held-out fit weighs only the other folds' observations: a sum over
     # the training set, never the full fit minus the own fold
-    sol = solve(view, view.t, view.s, float(h), kernel, fold=(obs_fold, obs_fold))
-    ok = sol.status == 0
-    err = view.y[ok] - predict(view, sol.beta[ok], ok)
+    resid, valid = _residuals(view, float(h), kernel, np.arange(view.n_obs), fold=obs_fold)
+    err = resid[valid]
     excluded_fraction = (view.n_obs - err.size) / view.n_obs
     if excluded_fraction > MAX_EXCLUDED_FRACTION or not err.size:
         return math.inf, excluded_fraction
@@ -95,12 +95,15 @@ def cv_score(data: Dataset, folds: FoldAssignment, h: float,
 
 
 def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:
-    """Shrinkage n^(-gamma) applied to the selected bandwidth."""
+    """Shrinkage n^(-gamma) applied to the selected bandwidth; always > 0."""
     if not n > 0:
         raise ValueError("n must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return float(n) ** (-gamma)
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
+    factor = float(n) ** (-gamma)
+    if not factor > 0:
+        raise ValueError(f"gamma={gamma:g} shrinks the bandwidth to zero at n={n}")
+    return factor
 
 
 def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
@@ -117,6 +120,7 @@ def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
     if any(h <= 0 for h in grid):
         raise ValueError("all candidate bandwidths must be positive")
     folds = make_folds(data, k, seed)
+    factor = undersmoothing_factor(data.n_subjects, gamma)
     pairs = [cv_score(data, folds, h, kernel) for h in grid]
     scores, excluded = map(tuple, zip(*pairs))
 
@@ -130,7 +134,6 @@ def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
             "no feasible bandwidth: every candidate excluded more than "
             f"{MAX_EXCLUDED_FRACTION:.0%} of held-out observations"
         )
-    factor = undersmoothing_factor(data.n_subjects, gamma)
     return CVResult(h_grid=grid, scores=scores, excluded_fraction=excluded,
                     h_selected=best_h, h_undersmoothed=best_h * factor,
                     gamma=float(gamma), factor=factor, n_used=data.n_subjects,

@@ -184,27 +184,3 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
 def load_study_config(path: str, seed_override: int | None = None) -> StudyConfig:
     return study_config_from_mapping(load_kv_file(path), seed_override=seed_override)
 
-
-def dump_sim_config(cfg: SimConfig) -> str:
-    """Canonical text form; parses back to an identical config."""
-    def join(values):
-        return ",".join("%.17g" % v for v in values)
-
-    lines = [
-        f"n = {cfg.n}",
-        f"m = {cfg.m}",
-        f"p = {cfg.p}",
-        "nu = %.17g" % cfg.nu,
-        f"seed = {cfg.seed}",
-        f"event_coefs = {join(cfg.event_coefs)}",
-        f"censor_coefs = {join(cfg.censor_coefs)}",
-        "truncation = %.17g" % cfg.truncation,
-        "shift = %.17g" % cfg.shift,
-        f"error_var_params = {join(cfg.error_var_params)}",
-        "error_corr_base = %.17g" % cfg.error_corr_base,
-        "white_noise_var = %.17g" % cfg.white_noise_var,
-        f"zero_errors = {'true' if cfg.zero_errors else 'false'}",
-        f"beta_mode = {cfg.beta_mode}",
-        f"constant_beta = {join(cfg.constant_beta)}",
-    ]
-    return "\n".join(lines) + "\n"

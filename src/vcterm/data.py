@@ -4,6 +4,10 @@ A subject carries repeated measurements up to a follow-up end that is
 either the terminal event time (event_observed) or a censoring time.
 Estimation only ever uses the complete-case subjects, i.e. those whose
 event was observed.
+
+A Dataset is its validated columns and nothing else; every fit reads them afresh.
+`Subject`, `Dataset(subjects, p)` and `Dataset.subjects` remain only as the adapter the
+benchmark builds and checks its cohort with; no other module of the package reads them.
 """
 
 from __future__ import annotations
@@ -136,7 +140,6 @@ class Dataset:
         self.followup_end = np.asarray(followup_end, dtype=float).reshape(-1)
         self.event_observed = np.asarray(event_observed, dtype=bool).reshape(-1)
         self.p = int(covariates.shape[1])
-        self._fit_view = None  # the engine's complete-case view, built on first use
 
     @property
     def subjects(self) -> tuple:

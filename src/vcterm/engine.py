@@ -32,7 +32,8 @@ CHUNK = 8
 
 
 class View:
-    """Complete-case observations sorted by visit time, with stacked features F."""
+    """Complete-case observations sorted by visit time, with stacked features F.
+    A copy of the Dataset columns, built afresh by each fit or CV call."""
 
     def __init__(self, dataset: Dataset):
         cc = dataset.event_observed
@@ -50,12 +51,6 @@ class View:
         self.subj = np.repeat(np.arange(self.n_subjects), counts)[order]
         outer = self.X[:, :, None] * self.X[:, None, :]
         self.F = np.hstack([outer.reshape(-1, p * p), self.X * self.y[:, None]])
-
-
-def view_of(data: Dataset) -> View:
-    if data._fit_view is None:
-        data._fit_view = View(data)
-    return data._fit_view
 
 
 # per target: beta (NaN unless ok), n_eff, status code into STATUSES, and the
@@ -135,8 +130,3 @@ def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
     beta = np.full((B, p), np.nan)
     beta[ok] = np.matmul(V, c[..., None])[..., 0]
     return Solution(beta, n_eff, status, evals, evecs)
-
-
-def predict(view: View, beta: np.ndarray, rows) -> np.ndarray:
-    """x_i' beta_i for the observations in rows, as 1-D dot products."""
-    return np.matmul(view.X[rows, None, :], beta[:, :, None])[:, 0, 0]

@@ -16,18 +16,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bandwidth import CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, select_bandwidth
+from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, select_bandwidth,
+                        undersmoothing_factor)
 from .data import Dataset
 from .errors import DataError
-from .fit import (DEFAULT_KERNEL, STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR,
-                  Kernel, fit_grid, normal_quantile, standard_errors)
+from .fit import (DEFAULT_KERNEL, STATUS_OK, STATUSES, Kernel, fit_grid, normal_quantile,
+                  standard_errors)
 from .io import fmt_cell, write_table
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
 H_POLICIES = ("fixed", "cv-once", "cv-per-rep")
-
-_STATUS_CODE = {STATUS_OK: 0, STATUS_SINGULAR: 1, STATUS_EMPTY: 2}
-_STATUS_NAME = {v: k for k, v in _STATUS_CODE.items()}
 
 PARTIAL_RECORDS = "records.partial.csv"
 RECORDS_FILE = "records.csv"
@@ -98,6 +96,8 @@ class StudyConfig:
             raise ValueError("fixed h_policy needs a positive h_fixed")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        # n^(-gamma) only grows as n falls, so every drawn cohort passes too
+        undersmoothing_factor(self.sim.n, self.gamma)
         for t, s in self.grid.eval_points():
             if t < 0 or s < 0:
                 raise ValueError(f"grid point ({t}, {s}) leaves the first quadrant")
@@ -170,7 +170,7 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
     se = np.full((G, p), np.nan)
     status = np.empty(G, dtype=np.int8)
     for g, fp in enumerate(fits):
-        status[g] = _STATUS_CODE[fp.status]
+        status[g] = STATUSES.index(fp.status)
         if fp.status == STATUS_OK:
             est[g] = fp.beta_hat
             se[g] = standard_errors(fp, n_cc)
@@ -184,7 +184,7 @@ def _record_rows(record: RepRecord, points):
     G, p = record.estimate.shape
     return [(record.rep, g, points[g][0], points[g][1], k + 1, record.h,
              cell(record.estimate[g, k]), cell(record.se[g, k]),
-             _STATUS_NAME[int(record.status[g])])
+             STATUSES[record.status[g]])
             for g in range(G) for k in range(p)]
 
 
@@ -225,10 +225,10 @@ def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepR
             continue
         try:
             rep, g, _, _, k, h, est, se, name = ln.split(",")
-            row = (float(h), float(est or "nan"), float(se or "nan"), _STATUS_CODE[name])
+            row = (float(h), float(est or "nan"), float(se or "nan"), STATUSES.index(name))
             # a rerun of a torn replication repeats its rows with equal values
             by_rep.setdefault(int(rep), {})[(int(g), int(k) - 1)] = row
-        except (ValueError, KeyError):
+        except ValueError:
             continue  # torn tail line from a crash; its replication reruns
     out = {}
     for rep, rows in by_rep.items():
@@ -502,7 +502,7 @@ def write_study_artifacts(result: StudyResult, out_dir: str,
         "h_values": list(result.h_values),
         "cv": cv_meta,
         "zero_valid_points": result.zero_valid_points,
-        "status_codes": {v: k for k, v in _STATUS_CODE.items()},
+        "status_codes": dict(enumerate(STATUSES)),
     }
     with open(os.path.join(out_dir, METADATA_FILE), "w", encoding="utf-8") as fh:
         json.dump(metadata, fh, sort_keys=True, indent=2)

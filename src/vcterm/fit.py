@@ -17,8 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .engine import (STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, STATUSES,  # noqa: F401
-                     predict, solve, view_of)
+from .engine import STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, STATUSES, View, solve  # noqa: F401
 from .errors import NumericalError
 from .kernel import DEFAULT_KERNEL, Kernel
 
@@ -61,13 +60,17 @@ class ResidualTable:
         return int(self.valid.size - np.count_nonzero(self.valid))
 
 
-def _residuals(view, h: float, kernel: Kernel, rows: np.ndarray):
-    """(resid, valid) over all observations; NaN unless in the sorted rows with an ok own fit."""
-    sol = solve(view, view.t[rows], view.s[rows], h, kernel)
+def _residuals(view: View, h: float, kernel: Kernel, rows: np.ndarray, fold=None):
+    """(resid, valid) over all observations: NaN unless in the sorted rows with an ok own fit.
+    fold, one per observation, zeroes each own fit's weights on its own fold (for CV)."""
+    fold = None if fold is None else (fold[rows], fold)
+    sol = solve(view, view.t[rows], view.s[rows], h, kernel, fold=fold)
+    ok = sol.status == 0
     valid = np.zeros(view.n_obs, dtype=bool)
-    valid[rows[sol.status == 0]] = True
+    valid[rows[ok]] = True
+    fitted = np.matmul(view.X[valid, None, :], sol.beta[ok, :, None])[:, 0, 0]
     resid = np.full(view.n_obs, np.nan)
-    resid[valid] = view.y[valid] - predict(view, sol.beta[sol.status == 0], valid)
+    resid[valid] = view.y[valid] - fitted
     return resid, valid
 
 
@@ -75,7 +78,7 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel,
                 with_variance: bool) -> list[FitPoint]:
     """One engine pass over the points; with_variance adds sandwich variances,
     whose residual pass covers only the observations that ok points weigh."""
-    view = view_of(data)
+    view = View(data)
     t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
     weights = {}
     sol = solve(view, t0, s0, h, kernel, weights=weights)
@@ -120,7 +123,7 @@ def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> Resid
     Each observation (i, j) is compared with x_ij' beta_hat(tau_ij, Ti - tau_ij)
     at the same bandwidth.
     """
-    view = view_of(data)
+    view = View(data)
     resid, valid = _residuals(view, float(h), kernel, np.arange(view.n_obs))
     ids = tuple(view.subject_ids[j] for j in view.subj)
     return ResidualTable(h=float(h), subject_ids=ids, times=view.t.copy(),

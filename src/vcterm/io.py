@@ -9,6 +9,7 @@ with 17 significant digits so a write/load round trip is exact.
 from __future__ import annotations
 
 import csv
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -268,11 +269,14 @@ def write_dataset_csv(dataset: Dataset, path: str):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(headers)
-        for s in dataset.subjects:
-            tail = [fmt_cell(s.followup_end), fmt_cell(s.event_observed)]
-            for t, y, x in zip(s.times.tolist(), s.responses.tolist(),
-                               s.covariates[:, 1:].tolist()):
-                writer.writerow([s.id, fmt_cell(t), fmt_cell(y), *tail, *map(fmt_cell, x)])
+        rows = zip(dataset.times.tolist(), dataset.responses.tolist(),
+                   dataset.covariates[:, 1:].tolist())
+        for sid, count, end, event in zip(dataset.ids, dataset.counts.tolist(),
+                                          dataset.followup_end.tolist(),
+                                          dataset.event_observed.tolist()):
+            tail = [fmt_cell(end), fmt_cell(event)]
+            for t, y, x in itertools.islice(rows, count):
+                writer.writerow([sid, fmt_cell(t), fmt_cell(y), *tail, *map(fmt_cell, x)])
 
 
 def write_truth_csv(truths, path: str):

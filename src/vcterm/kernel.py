@@ -42,9 +42,6 @@ class Kernel:
         elif not 0.0 < self.normalizer < math.inf:
             raise ValueError("normalizer must be positive and finite")
 
-    def __call__(self, u, v):
-        return kernel_eval(self, u, v)
-
 
 DEFAULT_KERNEL = Kernel()
 

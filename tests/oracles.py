@@ -91,7 +91,7 @@ def make_tiny_dataset(rng: np.random.Generator, n_subjects: int, p: int,
                       all_complete: bool = False):
     """Small well-posed dataset: visit times in [0, 3], follow-up past the
     last visit, responses with signal plus noise."""
-    from vcterm import Dataset, Subject
+    from vcterm.data import Dataset, Subject
 
     subjects = []
     for i in range(n_subjects):

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 import vcterm.bandwidth as bw
-from vcterm import (
-    Dataset,
-    FoldAssignment,
-    NumericalError,
-    Subject,
-    cv_score,
-    default_h_grid,
-    make_folds,
-    select_bandwidth,
-    undersmoothing_factor,
-)
+from vcterm import Dataset, NumericalError, select_bandwidth, undersmoothing_factor
+from vcterm.bandwidth import FoldAssignment, cv_score, default_h_grid, make_folds
+from vcterm.data import Subject
 
 import oracles
 
@@ -149,6 +141,21 @@ def test_select_bandwidth_uses_total_cohort_size():
     assert res.h_selected in (3.0, 4.0)
     assert res.h_undersmoothed == pytest.approx(res.h_selected * res.factor)
     assert len(res.scores) == 2
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 1000.0])
+def test_unusable_gamma_fails_before_the_cv_passes(monkeypatch, gamma):
+    rng = np.random.default_rng(31)
+    data = oracles.make_tiny_dataset(rng, 16, 2)
+    with pytest.raises(ValueError, match="gamma"):
+        undersmoothing_factor(data.n_subjects, gamma)
+
+    def no_score(*args, **kwargs):
+        raise AssertionError("cv_score ran")
+
+    monkeypatch.setattr(bw, "cv_score", no_score)
+    with pytest.raises(ValueError, match="gamma"):
+        select_bandwidth(data, h_grid=(3.0, 4.0), k=2, seed=0, gamma=gamma)
 
 
 def test_select_bandwidth_tie_breaks_to_smaller_h(monkeypatch):

@@ -330,3 +330,24 @@ def test_malformed_h_grid_is_usage_error(noiseless_csv, capsys, h_grid):
     assert main(["cv", "--data", noiseless_csv, "--h-grid", h_grid]) == 2
     err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err_line["code"] == 2 and "--h-grid" in err_line["error"]
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "1000"])
+def test_unusable_gamma_is_usage_error(noiseless_csv, capsys, gamma):
+    assert main(["cv", "--data", noiseless_csv, "--gamma", gamma]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err_line = json.loads(err.splitlines()[-1])
+    assert err_line["code"] == 2 and "gamma" in err_line["error"]
+
+
+def test_study_with_nan_gamma_fails_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "study.conf"
+    cfg.write_text(STUDY_CONFIG.replace("h_policy = fixed\nh_fixed = 2.5\n",
+                                        "h_policy = cv-once\ngamma = nan\n"),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err_line["code"] == 3 and "invalid study config" in err_line["error"]
+    assert not out.exists()

@@ -1,15 +1,8 @@
 import pytest
 
-from vcterm import (
-    DataError,
-    SimConfig,
-    dump_sim_config,
-    load_sim_config,
-    load_study_config,
-    parse_kv_text,
-    sim_config_from_mapping,
-    study_config_from_mapping,
-)
+from vcterm import DataError, SimConfig
+from vcterm.config import (_SIM_KEYS, load_sim_config, load_study_config, parse_kv_text,
+                           sim_config_from_mapping, study_config_from_mapping)
 
 
 def test_parse_kv_text_basics():
@@ -99,13 +92,19 @@ def test_study_config_errors():
         study_config_from_mapping({**base, "alpha": "2.0"})
 
 
-def test_dump_sim_config_round_trip():
+def test_canonical_sim_config_text_parses_every_key():
     cfg = SimConfig(n=17, m=6, nu=0.02, seed=23, shift=4.5,
                     event_coefs=(2.0, 0.5, -4.0), zero_errors=True,
                     beta_mode="constant", constant_beta=(1.0, 2.0, 3.0))
-    text = dump_sim_config(cfg)
-    again = sim_config_from_mapping(parse_kv_text(text))
-    assert again == cfg
+    # every simulation key, floats written with 17 significant digits
+    text = ("n = 17\nm = 6\np = 3\nnu = 0.02\nseed = 23\nevent_coefs = 2,0.5,-4\n"
+            "censor_coefs = 1,3,-5\ntruncation = 15\nshift = 4.5\n"
+            "error_var_params = 1,-0.10000000000000001\nerror_corr_base = 0.5\n"
+            "white_noise_var = 1\nzero_errors = true\nbeta_mode = constant\n"
+            "constant_beta = 1,2,3\n")
+    mapping = parse_kv_text(text)
+    assert set(mapping) == set(_SIM_KEYS)
+    assert sim_config_from_mapping(mapping) == cfg
 
 
 def test_load_config_files(tmp_path):

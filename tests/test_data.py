@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vcterm import Dataset, Subject
+from vcterm.data import Dataset, Subject
 
 
 def _subject(sid="a", times=(1.0, 2.0), complete=True, p=2, followup=3.0, check=True):

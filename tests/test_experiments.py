@@ -6,28 +6,28 @@ import numpy as np
 import pytest
 
 from vcterm import (
-    CvSettings,
     DataError,
     GridSpec,
     SimConfig,
     StudyConfig,
-    aggregate_records,
-    coverage_heatmap,
     fit_grid,
     gen_dataset,
-    replication_seed_sequences,
     run_study,
     slice_summary,
-    standard_errors,
+)
+from vcterm.experiments import (
+    PARTIAL_RECORDS,
+    CvSettings,
+    _append_partial,
+    _record_rows,
+    aggregate_records,
+    coverage_heatmap,
+    replication_seed_sequences,
     study_fingerprint,
     truth_matrix,
     write_study_artifacts,
 )
-from vcterm.experiments import (
-    PARTIAL_RECORDS,
-    _append_partial,
-    _record_rows,
-)
+from vcterm.fit import standard_errors
 from vcterm.io import read_table
 from vcterm.simulate import true_beta
 
@@ -364,3 +364,26 @@ def test_fingerprint_covers_the_kernel():
     cfg = _small_study()
     assert study_fingerprint(cfg) == study_fingerprint(cfg, DEFAULT_KERNEL)
     assert study_fingerprint(cfg) != study_fingerprint(cfg, Kernel(truncation_radius=2.0))
+
+
+def test_status_codes_in_metadata_and_resume(tmp_path):
+    from vcterm.experiments import RepRecord, _load_partial
+
+    cfg = _small_study(replications=1)
+    run_study(cfg, out_dir=str(tmp_path / "out"))
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["status_codes"] == {"0": "ok", "1": "singular", "2": "empty_support"}
+
+    points = [(1.0, 9.0), (2.0, 8.0), (45.0, 45.0)]
+    est = np.full((3, cfg.sim.p), np.nan)
+    est[0] = 1.0
+    record = RepRecord(rep=0, h=2.5, estimate=est, se=est, status=np.array([0, 1, 2], np.int8))
+    rows = _record_rows(record, points)
+    assert [row[-1] for row in rows[::cfg.sim.p]] == ["ok", "singular", "empty_support"]
+    partial = tmp_path / PARTIAL_RECORDS
+    partial.write_text("# fingerprint=f\nrep,point,t,s,coef,h,estimate,se,status\n",
+                       encoding="utf-8")
+    _append_partial(str(partial), rows)
+    loaded = _load_partial(str(partial), "f", len(points), cfg.sim.p)[0]
+    np.testing.assert_array_equal(loaded.status, record.status)
+    np.testing.assert_array_equal(loaded.estimate, est)

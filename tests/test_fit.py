@@ -6,10 +6,6 @@ from vcterm import (
     Dataset,
     FitError,
     Kernel,
-    STATUS_EMPTY,
-    STATUS_OK,
-    STATUS_SINGULAR,
-    Subject,
     confidence_interval,
     fit_grid,
     kernel_eval,
@@ -17,10 +13,10 @@ from vcterm import (
     residuals,
     sandwich_variance,
     slice_fit,
-    standard_errors,
 )
 from vcterm import fit as fit_module
-from vcterm.fit import FitPoint
+from vcterm.data import Subject
+from vcterm.fit import STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, FitPoint, standard_errors
 
 import oracles
 
@@ -300,6 +296,25 @@ def _cohort():
 
     data, _ = gen_dataset(SimConfig(n=80, seed=5))
     return data
+
+
+def test_in_place_edit_is_seen_by_the_next_fit():
+    from vcterm.bandwidth import cv_score, make_folds
+
+    data = _cohort()
+    before = local_fit(data, 2.0, 6.0, 0.7)
+    data.responses *= 2.0
+    fresh = Dataset.from_columns(data.ids, data.counts, data.times, data.covariates,
+                                 data.responses, data.followup_end, data.event_observed)
+    fit, ref = local_fit(data, 2.0, 6.0, 0.7), local_fit(fresh, 2.0, 6.0, 0.7)
+    np.testing.assert_array_equal(fit.beta_hat, 2.0 * before.beta_hat)
+    np.testing.assert_array_equal(fit.beta_hat, ref.beta_hat)
+    np.testing.assert_array_equal(fit.v_hat, ref.v_hat)
+    table, ref_table = residuals(data, 0.7), residuals(fresh, 0.7)
+    np.testing.assert_array_equal(table.resid, ref_table.resid)
+    np.testing.assert_array_equal(table.valid, ref_table.valid)
+    folds = make_folds(data, 5, 0)
+    assert cv_score(data, folds, 1.0) == cv_score(fresh, folds, 1.0)
 
 
 @pytest.mark.parametrize("h", [0.7, 2.0])

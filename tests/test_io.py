@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from vcterm import (
-    DataError,
-    SimConfig,
-    TransformSpec,
-    gen_dataset,
-    load_csv,
-    parse_transform,
-    read_table,
-    write_dataset_csv,
-    write_truth_csv,
-)
+from vcterm import DataError, SimConfig, gen_dataset
+from vcterm.io import (TransformSpec, load_csv, parse_transform, read_table,
+                       write_dataset_csv, write_truth_csv)
 
 import oracles
 

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vcterm.io as vcterm_io
-from vcterm import DataError, load_csv, parse_transform
+from vcterm import DataError
+from vcterm.io import load_csv, parse_transform
 
 import oracles
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import vcterm.simulate as simulate
-from vcterm import (
+from vcterm.simulate import (
     SimConfig,
     beta_interarrival_params,
     beta_value,

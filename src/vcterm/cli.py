@@ -20,10 +20,10 @@ import numpy as np
 from . import config as cfgmod
 from . import io as iomod
 from . import svg as svgmod
-from .bandwidth import select_bandwidth
+from .bandwidth import DEFAULT_FOLDS, DEFAULT_GAMMA, DEFAULT_H_GRID, select_bandwidth
 from .data import Dataset
 from .errors import DataError, NumericalError, UsageError, VctermError
-from .experiments import GridSpec, run_study
+from .experiments import GridSpec, rect_index, run_study, slice_stem
 from .fit import (STATUS_OK, confidence_interval, fit_grid, local_fit, normal_quantile,
                   standard_errors)
 from .io import fmt_cell
@@ -31,15 +31,19 @@ from .kernel import DEFAULT_KERNEL, kernel_moments
 from .simulate import gen_dataset
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the relevant random seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
-    parser.add_argument("--transform", default="none", choices=("none", "log1000"),
-                        help="response transform applied on load")
-    parser.add_argument("--format", default="csv", choices=("csv", "json"),
-                        dest="fmt", help="stdout format for structured output")
+_COMMON = {  # options that several subcommands share; each adds only the ones it reads
+    "seed": dict(type=int, default=None, help="override the relevant random seed"),
+    "threads": dict(type=int, default=1, help="accepted for compatibility; has no effect"),
+    "transform": dict(default="none", choices=iomod.TRANSFORMS,
+                      help="response transform applied on load"),
+    "format": dict(default="csv", choices=("csv", "json"), dest="fmt",
+                   help="stdout format for structured output"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names):
+    for name in names:
+        parser.add_argument("--" + name, **_COMMON[name])
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -57,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    _add_common(p)
+    _add_common(p, "transform", "format")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("slice", help="estimates along lines of fixed total time")
@@ -70,16 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.add_argument("--svg", action="store_true",
                    help="also write one SVG per slice (needs --out-dir)")
-    _add_common(p)
+    _add_common(p, "transform", "format")
     p.set_defaults(func=cmd_slice)
 
     p = sub.add_parser("cv", help="cross-validated bandwidth selection")
     p.add_argument("--data", required=True)
-    p.add_argument("--h-grid", default=None,
-                   help="comma-separated candidates; default 0.5,1,2,4")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--gamma", type=float, default=1.0 / 20.0)
-    _add_common(p)
+    p.add_argument("--h-grid", default=None, help="comma-separated candidates; default "
+                   + ",".join("%g" % h for h in DEFAULT_H_GRID))
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    _add_common(p, "seed", "threads", "transform", "format")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort CSV")
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", default=None,
                    help="also write generator-side event/censoring times")
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("study", help="replication study with coverage accounting")
@@ -95,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--no-resume", action="store_true",
                    help="ignore partial records from an interrupted run")
-    _add_common(p)
+    _add_common(p, "seed", "threads")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("kernel-moments", help="quadrature diagnostics of the kernel")
     p.add_argument("--quadrature-n", type=int, default=256)
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(func=cmd_kernel_moments)
 
     p = sub.add_parser("heatmap", help="render a coverage table to SVG")
@@ -108,14 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coverage CSV written by the study command")
     p.add_argument("--out", required=True)
     p.add_argument("--title", default="")
-    _add_common(p)
     p.set_defaults(func=cmd_heatmap)
     return parser
 
 
 def _load(args) -> Dataset:
-    transform = iomod.parse_transform(args.transform)
-    dataset, report = iomod.load_csv(args.data, transform=transform)
+    dataset, report = iomod.load_csv(args.data, transform=args.transform)
     if report.rows_rejected or report.subjects_dropped:
         for diag in report.diagnostics[:20]:
             print(f"warning: {diag}", file=sys.stderr)
@@ -198,7 +200,7 @@ def cmd_slice(args) -> int:
         slices.append((T, len(pts)))
         points += pts
     # one batch for every slice: the residual pass runs once
-    fits = iter(fit_grid(dataset, points, args.h, with_variance=True))
+    fits = iter(fit_grid(dataset, points, args.h))
     all_rows = []
     per_slice = {}  # a repeated T writes one file
     for T, count in slices:
@@ -217,12 +219,11 @@ def cmd_slice(args) -> int:
         return 0
     os.makedirs(args.out_dir, exist_ok=True)
     for T, rows in per_slice.items():
-        name = ("slice_T%g" % T).replace(".", "_")
-        path = os.path.join(args.out_dir, name + ".csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        stem = os.path.join(args.out_dir, slice_stem(T))
+        with open(stem + ".csv", "w", encoding="utf-8") as fh:
             _emit_rows("csv", _SLICE_HEADER, rows, {**meta, "T": fmt_cell(T)}, stream=fh)
         if args.svg:
-            _slice_svg(os.path.join(args.out_dir, name + ".svg"), T, rows, dataset.p)
+            _slice_svg(stem + ".svg", T, rows, dataset.p)
     print(f"wrote {len(per_slice)} slice tables to {args.out_dir}", file=sys.stderr)
     return 0
 
@@ -237,7 +238,7 @@ def _slice_svg(path: str, T: float, rows, p: int):
         lo = [by_t[t][6] if by_t[t][6] is not None else math.nan for t in ts]
         hi = [by_t[t][7] if by_t[t][7] is not None else math.nan for t in ts]
         color = svgmod.PALETTE[(k - 1) % len(svgmod.PALETTE)]
-        curves.append((f"b{k}", est, color, None))
+        curves.append((f"b{k}", est, color))
         bands.append((lo, hi, color))
     svgmod.line_chart(path, ts, curves, bands, title=f"T = {T:g}",
                       x_label="t", y_label="estimate")
@@ -329,18 +330,14 @@ def cmd_heatmap(args) -> int:
         raise DataError(f"{args.coverage}: malformed numeric fields")
     if not pts:
         raise DataError(f"{args.coverage}: no rows")
-    t_vals = sorted({p[0] for p in pts})
-    s_vals = sorted({p[1] for p in pts})
-    lookup = {(p[0], p[1]): p[2] for p in pts}
-    if len(lookup) != len(t_vals) * len(s_vals):
+    try:
+        t_vals, s_vals, index = rect_index([p[:2] for p in pts])
+    except ValueError:
         raise DataError(f"{args.coverage}: grid is not rectangular")
-    grid = np.full((len(s_vals), len(t_vals)), math.nan)
-    for j, s in enumerate(s_vals):
-        for i, t in enumerate(t_vals):
-            grid[j, i] = lookup[(t, s)]
+    grid = np.array([p[2] for p in pts])[index]
     title = args.title or f"coverage (coefficient {meta.get('coefficient', '?')})"
     svgmod.heatmap_chart(args.out, t_vals, s_vals, grid, title=title,
-                         x_label="t", y_label="s", vmin=None, vmax=None)
+                         x_label="t", y_label="s")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -7,7 +7,6 @@ pairs separated by semicolons.
 
 from __future__ import annotations
 
-from .bandwidth import DEFAULT_GAMMA
 from .errors import DataError
 from .experiments import CvSettings, GridSpec, StudyConfig
 from .simulate import SimConfig

@@ -6,7 +6,8 @@ Estimation only ever uses the complete-case subjects, i.e. those whose
 event was observed.
 
 A Dataset is its validated columns and nothing else; every fit reads them afresh.
-`Subject`, `Dataset(subjects, p)` and `Dataset.subjects` remain only as the adapter the
+`Subject`, `Dataset(subjects, p)`, which copies its subjects into columns, and
+`Dataset.subjects`, which views the current columns, remain only as the adapter the
 benchmark builds and checks its cohort with; no other module of the package reads them.
 """
 
@@ -109,7 +110,6 @@ class Dataset:
                     np.vstack([np.empty((0, p))] + [s.covariates for s in subjects]),
                     np.concatenate([np.empty(0)] + [s.responses for s in subjects]),
                     [s.followup_end for s in subjects], [s.event_observed for s in subjects])
-        self._subjects = subjects
 
     @classmethod
     def from_columns(cls, ids, counts, times, covariates, responses, followup_end,
@@ -126,7 +126,6 @@ class Dataset:
         check_subjects(ids, counts, times, covariates, responses, followup_end)
         self = object.__new__(cls)
         self._store(ids, counts, times, covariates, responses, followup_end, event_observed)
-        self._subjects = None
         return self
 
     def _store(self, ids, counts, times, covariates, responses, followup_end, event_observed):
@@ -143,14 +142,12 @@ class Dataset:
 
     @property
     def subjects(self) -> tuple:
-        """One Subject per id, viewing the columns."""
-        if self._subjects is None:
-            cuts = np.cumsum(self.counts)[:-1]
-            self._subjects = tuple(
-                Subject(*fields, check=False) for fields in zip(
-                    self.ids, np.split(self.times, cuts), np.split(self.covariates, cuts),
-                    np.split(self.responses, cuts), self.followup_end, self.event_observed))
-        return self._subjects
+        """One Subject per id, built on each access as views of the current columns."""
+        cuts = np.cumsum(self.counts)[:-1]
+        return tuple(
+            Subject(*fields, check=False) for fields in zip(
+                self.ids, np.split(self.times, cuts), np.split(self.covariates, cuts),
+                np.split(self.responses, cuts), self.followup_end, self.event_observed))
 
     @property
     def n_subjects(self) -> int:

@@ -164,7 +164,7 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
                               seed=config.cv.seed, gamma=config.gamma, kernel=kernel)
         h = cv.h_undersmoothed
     n_cc = ds.n_complete_case
-    fits = fit_grid(ds, points, h, kernel, with_variance=True)
+    fits = fit_grid(ds, points, h, kernel)
     G, p = len(points), config.sim.p
     est = np.full((G, p), np.nan)
     se = np.full((G, p), np.nan)
@@ -364,25 +364,26 @@ class HeatmapTable:
                 for j, s in enumerate(self.s_values) for i, t in enumerate(self.t_values)]
 
 
+def rect_index(points) -> tuple[tuple, tuple, np.ndarray]:
+    """(t values, s values, index), index[j, i] being the position in points of
+    (t values[i], s values[j]); ValueError unless the points fill the mesh once each."""
+    pts = [(float(t), float(s)) for t, s in points]
+    t_vals = tuple(sorted({pt[0] for pt in pts}))
+    s_vals = tuple(sorted({pt[1] for pt in pts}))
+    where = {pt: g for g, pt in enumerate(pts)}
+    if len(where) != len(pts) or len(t_vals) * len(s_vals) != len(pts):
+        raise ValueError("evaluation grid is not rectangular; cannot build a heatmap")
+    index = np.array([[where[(t, s)] for t in t_vals] for s in s_vals], dtype=np.intp)
+    return t_vals, s_vals, index
+
+
 def coverage_heatmap(result: StudyResult, coefficient: int) -> HeatmapTable:
     """Long-format coverage table for one coefficient; grid must be rectangular."""
     if not 1 <= coefficient <= result.p:
         raise ValueError(f"coefficient must be in 1..{result.p}")
-    pts = [(float(t), float(s)) for t, s in result.points]
-    t_vals = tuple(sorted({pt[0] for pt in pts}))
-    s_vals = tuple(sorted({pt[1] for pt in pts}))
-    index = {pt: g for g, pt in enumerate(pts)}
-    if len(index) != len(pts) or len(t_vals) * len(s_vals) != len(pts):
-        raise ValueError("evaluation grid is not rectangular; cannot build a heatmap")
-    cov = np.full((len(s_vals), len(t_vals)), np.nan)
-    val = np.zeros((len(s_vals), len(t_vals)), dtype=int)
-    k = coefficient - 1
-    for j, s in enumerate(s_vals):
-        for i, t in enumerate(t_vals):
-            g = index[(t, s)]  # distinct points, as many as t_vals x s_vals: all present
-            val[j, i] = result.valid[g]
-            if result.valid[g] > 0:
-                cov[j, i] = result.coverage[g, k]
+    t_vals, s_vals, index = rect_index(result.points)
+    val = result.valid[index]
+    cov = np.where(val > 0, result.coverage[index, coefficient - 1], np.nan)
     return HeatmapTable(coefficient, t_vals, s_vals, cov, val)
 
 
@@ -412,11 +413,11 @@ class SliceTable:
                 for i in range(self.t.size) for k in range(self.truth.shape[1])]
 
 
-def slice_summary(result: StudyResult, T_fixed: float, atol: float = 1e-9) -> SliceTable:
+def slice_summary(result: StudyResult, T_fixed: float) -> SliceTable:
     """Truth, mean estimate, and both confidence envelopes along t + s = T."""
     T_fixed = float(T_fixed)
     total = result.points[:, 0] + result.points[:, 1]
-    idx = np.nonzero(np.abs(total - T_fixed) <= atol)[0]
+    idx = np.nonzero(np.abs(total - T_fixed) <= 1e-9)[0]
     if idx.size == 0:
         raise ValueError(f"no evaluation points on the slice t + s = {T_fixed}")
     idx = idx[np.argsort(result.points[idx, 0])]
@@ -439,6 +440,11 @@ _SUMMARY_HEADER = ("point", "t", "s", "coef", "truth", "mean_estimate", "bias",
 _SLICE_HEADER = ("coef", "t", "s", "truth", "mean_estimate", "emp_sd", "mean_se",
                  "lower_emp", "upper_emp", "lower_est", "upper_est", "valid")
 _HEATMAP_HEADER = ("t", "s", "coverage", "valid")
+
+
+def slice_stem(T: float) -> str:
+    """File name, without extension, of the table or chart of the slice at total time T."""
+    return ("slice_T%g" % float(T)).replace(".", "_")
 
 
 def _write_table(path: str, meta: dict, header, rows):
@@ -484,8 +490,7 @@ def write_study_artifacts(result: StudyResult, out_dir: str,
     if cfg.grid.kind == "slices":
         for T in cfg.grid.slice_T:
             table = slice_summary(result, float(T))
-            name = ("slice_T%g" % float(T)).replace(".", "_") + ".csv"
-            _write_table(os.path.join(out_dir, name),
+            _write_table(os.path.join(out_dir, slice_stem(T) + ".csv"),
                          {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
                          _SLICE_HEADER,
                          [tuple(_nan_none(v) if isinstance(v, float) else v for v in row)

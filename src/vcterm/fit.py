@@ -74,10 +74,9 @@ def _residuals(view: View, h: float, kernel: Kernel, rows: np.ndarray, fold=None
     return resid, valid
 
 
-def _fit_points(data: Dataset, points, h: float, kernel: Kernel,
-                with_variance: bool) -> list[FitPoint]:
-    """One engine pass over the points; with_variance adds sandwich variances,
-    whose residual pass covers only the observations that ok points weigh."""
+def _fit_points(data: Dataset, points, h: float, kernel: Kernel) -> list[FitPoint]:
+    """One engine pass over the points, with the sandwich variance of each ok point;
+    its residual pass covers only the observations that ok points weigh."""
     view = View(data)
     t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
     weights = {}
@@ -87,7 +86,7 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel,
     out = [FitPoint(float(t0[i]), float(s0[i]), h, sol.beta[i] if ok[i] else None,
                     None, int(sol.n_eff[i]), STATUSES[status])
            for i, status in enumerate(sol.status)]
-    if not (with_variance and ok.any()):
+    if not ok.any():
         return out
     fits = np.flatnonzero(ok).tolist()
     need = np.zeros(view.n_obs, dtype=bool)
@@ -114,7 +113,7 @@ def local_fit(data: Dataset, t0: float, s0: float, h: float,
     same solve and the residuals of the observations in its kernel disk; a
     failed one has none and skips the residual pass.
     """
-    return _fit_points(data, [(t0, s0)], h, kernel, with_variance=True)[0]
+    return _fit_points(data, [(t0, s0)], h, kernel)[0]
 
 
 def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> ResidualTable:
@@ -173,26 +172,26 @@ def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05,
 def standard_errors(fit: FitPoint, n: int) -> np.ndarray:
     """sqrt(V_kk / (n h^2)) per coefficient, the scale used by the intervals."""
     if fit.v_hat is None:
-        raise ValueError("fit has no variance; compute sandwich_variance first")
+        raise ValueError(f"fit has no variance: its status is {fit.status!r}, not ok")
     # tiny negative diagonals are eigen-roundoff from an exact zero
     return np.sqrt(np.maximum(fit.v_hat.diagonal(), 0.0) / (n * fit.h * fit.h))
 
 
-def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL,
-             with_variance: bool = False) -> list[FitPoint]:
+def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL
+             ) -> list[FitPoint]:
     """Fit every (t0, s0) in the grid; per-point failures never abort the grid.
 
-    With with_variance one residual pass covers the observations that the ok
-    points weigh. Results are ordered like the input grid.
+    Every ok point carries v_hat; one residual pass covers the observations
+    that the ok points weigh. Results are ordered like the input grid.
     """
     points = [(float(t), float(s)) for t, s in grid]
     if not points:
         raise ValueError("grid must contain at least one point")
-    return _fit_points(data, points, h, kernel, with_variance=with_variance)
+    return _fit_points(data, points, h, kernel)
 
 
 def slice_fit(data: Dataset, T_fixed: float, t_values, h: float,
-              kernel: Kernel = DEFAULT_KERNEL, with_variance: bool = False) -> list[FitPoint]:
+              kernel: Kernel = DEFAULT_KERNEL) -> list[FitPoint]:
     """Fits along the line t + s = T_fixed, i.e. fixed total event time."""
     T_fixed = float(T_fixed)
     ts = [float(t) for t in t_values]
@@ -202,4 +201,4 @@ def slice_fit(data: Dataset, T_fixed: float, t_values, h: float,
         if not 0.0 <= t < T_fixed:
             raise ValueError(f"slice time t={t} outside [0, T_fixed)")
     grid = [(t, T_fixed - t) for t in ts]
-    return fit_grid(data, grid, h, kernel, with_variance=with_variance)
+    return fit_grid(data, grid, h, kernel)

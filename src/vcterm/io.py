@@ -25,38 +25,20 @@ COVARIATE_PREFIX = "x_"
 _FLOAT_FMT = "%.17g"
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Optional response transform y -> ln(y / scale + 1)."""
-
-    kind: str = "none"  # "none" | "log_scale"
-    scale: float = 1000.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "log_scale"):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("transform scale must be positive")
-
-    def apply(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.kind == "none":
-            return y
-        scaled = y / self.scale
-        if np.any(scaled <= -1.0):
-            raise DataError(
-                f"log transform undefined: response below -scale ({-self.scale:g})"
-            )
-        return np.log1p(scaled)
+TRANSFORMS = ("none", "log1000")  # response transforms, by name
 
 
-def parse_transform(text: str) -> TransformSpec:
-    """CLI transform names: "none" or "log1000"."""
-    if text == "none":
-        return TransformSpec("none")
-    if text == "log1000":
-        return TransformSpec("log_scale", 1000.0)
-    raise DataError(f"unknown transform {text!r} (expected log1000 or none)")
+def apply_transform(name: str, y) -> np.ndarray:
+    """The named response transform: "none", or "log1000", y -> ln(y / 1000 + 1)."""
+    if name not in TRANSFORMS:
+        raise DataError(f"unknown transform {name!r} (expected log1000 or none)")
+    y = np.asarray(y, dtype=float)
+    if name == "none":
+        return y
+    scaled = y / 1000.0
+    if np.any(scaled <= -1.0):
+        raise DataError("log transform undefined: response below -scale (-1000)")
+    return np.log1p(scaled)
 
 
 @dataclass
@@ -171,7 +153,7 @@ class _Columns:
         self.bad = np.bincount(code[stage == 1], minlength=n) > 0
         self.bad[code[nonpositive]] = True
 
-    def finish(self, transform: TransformSpec) -> tuple[Dataset, IngestionReport]:
+    def finish(self, transform: str) -> tuple[Dataset, IngestionReport]:
         """Reject negative, late and repeated visit times, then build the cohort."""
         line, code, stage, _, _, t, y, x = self.rows
         ids, n = list(self.index)[2:], self.bad.size
@@ -211,14 +193,13 @@ class _Columns:
         subjects = np.flatnonzero(kept)
         dataset = Dataset.from_columns(
             [ids[c] for c in subjects.tolist()], kept[subjects], t[keep],
-            np.column_stack([np.ones(report.rows_kept), x[keep]]), transform.apply(y[keep]),
-            self.fup[subjects], self.flag[subjects] == 1)
+            np.column_stack([np.ones(report.rows_kept), x[keep]]),
+            apply_transform(transform, y[keep]), self.fup[subjects], self.flag[subjects] == 1)
         return dataset, report
 
 
-def load_csv(path: str, transform: TransformSpec = TransformSpec()
-             ) -> tuple[Dataset, IngestionReport]:
-    """Parse and validate a long-format CSV.
+def load_csv(path: str, transform: str = "none") -> tuple[Dataset, IngestionReport]:
+    """Parse and validate a long-format CSV; transform names one of TRANSFORMS.
 
     Row-level violations (bad numerics, visit after follow-up, duplicate or
     negative times) reject the row with a line-numbered diagnostic. Invalid
@@ -228,6 +209,7 @@ def load_csv(path: str, transform: TransformSpec = TransformSpec()
     subject, in order of first appearance, its visit rejections in time
     order and the note that it was dropped.
     """
+    apply_transform(transform, ())  # an unknown name fails before the file is opened
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:

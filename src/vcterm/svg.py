@@ -120,10 +120,10 @@ def _finite_runs(x, y):
 
 def line_chart(path: str, x, curves, bands=(), title: str = "",
                x_label: str = "", y_label: str = ""):
-    """curves: (label, values, color|None, dash|None); bands: (lo, hi, color)."""
+    """curves: (label, values, color); bands: (lo, hi, color)."""
     x = [float(v) for v in x]
     values = []
-    for _, ys, _, _ in curves:
+    for _, ys, _ in curves:
         values.extend(v for v in ys if math.isfinite(v))
     for lo, hi, _ in bands:
         values.extend(v for v in list(lo) + list(hi) if math.isfinite(v))
@@ -143,19 +143,17 @@ def line_chart(path: str, x, curves, bands=(), title: str = "",
                        f'fill-opacity="0.25" stroke="none"/>')
     _axes(canvas, scale, x_label, y_label)
     legend_y = MARGIN_T + 8
-    for idx, (label, ys, color, dash) in enumerate(curves):
-        color = color or PALETTE[idx % len(PALETTE)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    for label, ys, color in curves:
         for a, b in _finite_runs(x, ys):
             pts = " ".join(
                 f"{_f(scale.x(x[i]))},{_f(scale.y(float(ys[i])))}" for i in range(a, b)
             )
             canvas.add(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                       f'stroke-width="1.5"{dash_attr}/>')
+                       'stroke-width="1.5"/>')
         if label:
             canvas.add(
                 f'<line x1="{WIDTH - 150}" y1="{legend_y}" x2="{WIDTH - 126}" '
-                f'y2="{legend_y}" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
+                f'y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>'
             )
             canvas.add(
                 f'<text x="{WIDTH - 120}" y="{legend_y + 3}" font-family="sans-serif" '
@@ -178,14 +176,13 @@ def _heat_color(frac: float) -> str:
 
 
 def heatmap_chart(path: str, t_values, s_values, grid, title: str = "",
-                  x_label: str = "t", y_label: str = "s",
-                  vmin: float | None = None, vmax: float | None = None):
+                  x_label: str = "t", y_label: str = "s"):
     """grid[j, i] is the value at (t_values[i], s_values[j]); NaN cells are
     drawn hatched gray to distinguish missing from low values."""
     grid = np.asarray(grid, dtype=float)
     finite = grid[np.isfinite(grid)]
-    lo = vmin if vmin is not None else (float(finite.min()) if finite.size else 0.0)
-    hi = vmax if vmax is not None else (float(finite.max()) if finite.size else 1.0)
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
     if hi <= lo:
         hi = lo + 1.0
     nx, ny = len(t_values), len(s_values)

@@ -15,7 +15,7 @@ from scipy.stats import chi2
 
 from vcterm.data import Dataset, Subject
 from vcterm.errors import DataError, NumericalError
-from vcterm.io import COVARIATE_PREFIX, REQUIRED_COLUMNS, IngestionReport, TransformSpec
+from vcterm.io import COVARIATE_PREFIX, REQUIRED_COLUMNS, IngestionReport, apply_transform
 
 # radius of the 95% disk of the standard bivariate normal
 RADIUS_SQ = float(chi2.ppf(0.95, df=2))
@@ -183,14 +183,13 @@ class _RawSubject:
         self.bad = None  # subject-level drop reason
 
 
-def reference_load_csv(path: str, transform=None):
+def reference_load_csv(path: str, transform: str = "none"):
     """The row-by-row loader that vcterm.io.load_csv replaced.
 
     It groups rows per subject in Python dicts and builds each Subject on
     its own; load_csv must give the same Dataset bits, IngestionReport and
     DataError messages.
     """
-    transform = TransformSpec() if transform is None else transform
     report = IngestionReport()
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -303,7 +302,7 @@ def reference_load_csv(path: str, transform=None):
             )
             continue
         times = np.array([r[0] for r in kept])
-        responses = transform.apply(np.array([r[1] for r in kept]))
+        responses = apply_transform(transform, np.array([r[1] for r in kept]))
         covs = np.column_stack(
             [np.ones(len(kept))] + [np.array([r[2][j] for r in kept])
                                     for j in range(len(x_cols))]

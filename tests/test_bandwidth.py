@@ -5,7 +5,7 @@ import pytest
 
 import vcterm.bandwidth as bw
 from vcterm import Dataset, NumericalError, select_bandwidth, undersmoothing_factor
-from vcterm.bandwidth import FoldAssignment, cv_score, default_h_grid, make_folds
+from vcterm.bandwidth import DEFAULT_H_GRID, FoldAssignment, cv_score, make_folds
 from vcterm.data import Subject
 
 import oracles
@@ -15,14 +15,8 @@ FACTOR_1000 = 0.7079457843841379
 
 
 def test_default_h_grid_is_geometric():
-    grid = default_h_grid()
-    assert grid == (0.5, 1.0, 2.0, 4.0)
-    finer = default_h_grid(n_points=7)
-    assert len(finer) == 7
-    assert finer[0] == pytest.approx(0.5)
-    assert finer[-1] == pytest.approx(4.0)
-    ratios = np.diff(np.log(np.asarray(finer)))
-    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
+    assert DEFAULT_H_GRID == (0.5, 1.0, 2.0, 4.0)
+    assert DEFAULT_H_GRID == tuple(float(h) for h in np.geomspace(0.5, 4.0, 4))
 
 
 def test_make_folds_partitions_complete_cases():

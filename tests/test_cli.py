@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from vcterm.cli import main
+from vcterm.cli import build_parser, main
 
 NOISELESS_CONFIG = """\
 n = 60
@@ -303,6 +303,58 @@ def test_heatmap_renders_svg(tmp_path, capsys):
     assert main(["heatmap", "--coverage", str(bad),
                  "--out", str(tmp_path / "bad.svg")]) == 3
     capsys.readouterr()
+
+
+def test_heatmap_rejects_a_repeated_point(tmp_path, capsys):
+    cov = tmp_path / "coverage.csv"
+    cov.write_text("t,s,coverage\n1,5,0.9\n1,5,0.8\n", encoding="utf-8")
+    out = tmp_path / "cov.svg"
+    assert main(["heatmap", "--coverage", str(cov), "--out", str(out)]) == 3
+    err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err_line == {"error": f"{cov}: grid is not rectangular", "code": 3}
+    assert not out.exists()
+
+
+# the required arguments of each subcommand, with values argparse accepts
+REQUIRED_ARGS = {
+    "fit": ["--data", "missing.csv", "--t0", "1", "--s0", "6", "--h", "3"],
+    "slice": ["--data", "missing.csv", "--T", "8", "--h", "3"],
+    "cv": ["--data", "missing.csv"],
+    "simulate": ["--config", "missing.conf", "--out", "out.csv"],
+    "study": ["--config", "missing.conf", "--out-dir", "out"],
+    "kernel-moments": [],
+    "heatmap": ["--coverage", "missing.csv", "--out", "out.svg"],
+}
+OPTION_VALUES = {"--seed": "3", "--threads": "2", "--transform": "log1000", "--format": "json"}
+KEPT_OPTIONS = {
+    "fit": ("--transform", "--format"),
+    "slice": ("--transform", "--format"),
+    "cv": ("--seed", "--threads", "--transform", "--format"),
+    "simulate": ("--seed",),
+    "study": ("--seed", "--threads"),
+    "kernel-moments": ("--format",),
+    "heatmap": (),
+}
+KEPT = [(sub, opt) for sub, opts in KEPT_OPTIONS.items() for opt in opts]
+REMOVED = [(sub, opt) for sub, opts in KEPT_OPTIONS.items() for opt in OPTION_VALUES
+           if opt not in opts]
+
+
+@pytest.mark.parametrize("sub,option", REMOVED)
+def test_shared_option_a_subcommand_ignores_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                           sub, option):
+    monkeypatch.chdir(tmp_path)
+    argv = [sub, *REQUIRED_ARGS[sub], option, OPTION_VALUES[option]]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("sub,option", KEPT)
+def test_shared_option_a_subcommand_reads_is_accepted(sub, option):
+    args = build_parser().parse_args([sub, *REQUIRED_ARGS[sub], option, OPTION_VALUES[option]])
+    dest = {"--format": "fmt"}.get(option, option[2:])
+    assert str(getattr(args, dest)) == OPTION_VALUES[option]
 
 
 def test_no_subcommand_is_usage_error(capsys):

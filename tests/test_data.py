@@ -171,3 +171,20 @@ def test_from_columns_matches_subject_construction():
         for x, y in ((a.times, b.times), (a.covariates, b.covariates),
                      (a.responses, b.responses)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_subjects_view_the_current_columns():
+    subjects = [_subject("a", (1.0, 2.0)), _subject("b", (0.5, 1.5, 2.5))]
+    by_subject = Dataset(subjects, p=2)
+    before = by_subject.subjects
+    by_subject.responses *= 2
+    doubled = [[0.0, 2.0], [0.0, 2.0, 4.0]]
+    assert [s.responses.tolist() for s in by_subject.subjects] == doubled
+    assert [s.responses.tolist() for s in before] == doubled  # views, not copies
+    assert subjects[1].responses.tolist() == [0.0, 1.0, 2.0]  # the caller's arrays are copied
+
+    by_columns = Dataset.from_columns(*_columns(subjects))
+    assert by_columns.subjects[0].responses.tolist() == [0.0, 1.0]
+    by_columns.responses = by_columns.responses + 10.0
+    assert [s.responses.tolist() for s in by_columns.subjects] == [[10.0, 11.0],
+                                                                   [10.0, 11.0, 12.0]]

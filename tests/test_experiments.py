@@ -107,8 +107,7 @@ def test_single_replication_equals_direct_fit():
     result = run_study(cfg)
     seqs = replication_seed_sequences(cfg.sim.seed, 1)
     ds, _ = gen_dataset(cfg.sim, seed_seq=seqs[0])
-    fits = fit_grid(ds, cfg.grid.eval_points(), cfg.h_fixed,
-                    with_variance=True)
+    fits = fit_grid(ds, cfg.grid.eval_points(), cfg.h_fixed)
     rec = result.records[0]
     for g, fp in enumerate(fits):
         assert fp.status == "ok"

@@ -242,8 +242,8 @@ def test_fit_grid_matches_pointwise_and_repeats_bit_for_bit():
     rng = np.random.default_rng(73)
     data = oracles.make_tiny_dataset(rng, 10, 2)
     grid = [(0.5, 0.5), (1.0, 1.0), (1.5, 0.8), (2.0, 1.2), (2.5, 0.6)]
-    first = fit_grid(data, grid, H_WIDE, with_variance=True)
-    second = fit_grid(data, grid, H_WIDE, with_variance=True)
+    first = fit_grid(data, grid, H_WIDE)
+    second = fit_grid(data, grid, H_WIDE)
     assert len(first) == len(grid)
     for a, b, pt in zip(first, second, grid):
         assert (a.t0, a.s0) == pt
@@ -258,7 +258,7 @@ def test_local_fit_carries_the_sandwich_variance():
     data = oracles.make_tiny_dataset(rng, 10, 2)
     fp = local_fit(data, 1.0, 1.0, H_WIDE)
     plain = fit_grid(data, [(1.0, 1.0)], H_WIDE)[0]
-    assert plain.v_hat is None
+    assert fp.v_hat.tobytes() == plain.v_hat.tobytes()
     assert fp.beta_hat.tobytes() == plain.beta_hat.tobytes()
     assert fp.v_hat.tobytes() == sandwich_variance(data, 1.0, 1.0, H_WIDE).tobytes()
     far = local_fit(data, 500.0, 500.0, H_WIDE)
@@ -269,7 +269,7 @@ def test_fit_grid_survives_unsupported_points():
     rng = np.random.default_rng(79)
     data = oracles.make_tiny_dataset(rng, 8, 2)
     grid = [(1.0, 1.0), (500.0, 500.0)]
-    out = fit_grid(data, grid, H_WIDE, with_variance=True)
+    out = fit_grid(data, grid, H_WIDE)
     assert out[0].status == STATUS_OK
     assert out[0].v_hat is not None
     assert out[1].status == STATUS_EMPTY
@@ -341,8 +341,8 @@ def test_fit_grid_results_do_not_depend_on_the_batch():
     # a shuffled grid that repeats points, more than one block's worth in a cell
     grid = [base[i] for i in rng.integers(len(base), size=90)] + [base[3]] * 40
     rng.shuffle(grid)
-    want = {(fp.t0, fp.s0): fp for fp in fit_grid(data, base, 1.0, with_variance=True)}
-    got = fit_grid(data, grid, 1.0, with_variance=True)
+    want = {(fp.t0, fp.s0): fp for fp in fit_grid(data, base, 1.0)}
+    got = fit_grid(data, grid, 1.0)
     assert [(fp.t0, fp.s0) for fp in got] == grid
     for fp in got:
         ref = want[(fp.t0, fp.s0)]
@@ -403,7 +403,7 @@ def test_lazy_residuals_bit_equal_with_invalid_residuals():
     bad_t = table.times[bad]
     bad_s = np.array([end[sid] for sid, b in zip(table.subject_ids, bad) if b]) - bad_t
     grid = [(float(a), float(12.0 - a)) for a in range(1, 12)] + list(zip(t.tolist(), s.tolist()))
-    ok = [fp for fp in fit_grid(data, grid, h, with_variance=True) if fp.status == STATUS_OK]
+    ok = [fp for fp in fit_grid(data, grid, h) if fp.status == STATUS_OK]
     assert any((_kernel_weights(bad_t, bad_s, fp.t0, fp.s0, h) != 0).any() for fp in ok)
     for fp in ok:
         single = local_fit(data, fp.t0, fp.s0, h)

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from vcterm import DataError, SimConfig, gen_dataset
-from vcterm.io import (TransformSpec, load_csv, parse_transform, read_table,
-                       write_dataset_csv, write_truth_csv)
+from vcterm.io import (TRANSFORMS, apply_transform, load_csv, read_table, write_dataset_csv,
+                       write_truth_csv)
 
 import oracles
 
@@ -48,26 +50,30 @@ def test_log_transform_value(tmp_path):
     # ln(y/1000 + 1) at y=1000 is ln 2
     path = _write(tmp_path, "a,1.0,1000.0,5.0,1\na,2.0,0.0,5.0,1\n",
                   header="subject_id,visit_time,response,followup_end,event_observed\n")
-    ds, _ = load_csv(path, parse_transform("log1000"))
+    ds, _ = load_csv(path, "log1000")
     assert ds.subjects[0].responses[0] == pytest.approx(0.6931471805599453,
                                                         abs=1e-15)
     assert ds.subjects[0].responses[1] == 0.0
 
 
 def test_log_transform_domain_error():
-    spec = TransformSpec("log_scale", 10.0)
-    with pytest.raises(DataError):
-        spec.apply(np.array([-10.0]))
-    np.testing.assert_allclose(spec.apply(np.array([0.0])), [0.0])
+    with pytest.raises(DataError, match=r"response below -scale \(-1000\)"):
+        apply_transform("log1000", np.array([-1000.0]))
+    np.testing.assert_allclose(apply_transform("log1000", np.array([0.0, -999.0])),
+                               [0.0, np.log(1e-3)], rtol=1e-12)
 
 
-def test_parse_transform_names():
-    assert parse_transform("none").kind == "none"
-    spec = parse_transform("log1000")
-    assert spec.kind == "log_scale"
-    assert spec.scale == 1000.0
-    with pytest.raises(DataError):
-        parse_transform("log10")
+def test_transform_names():
+    assert TRANSFORMS == ("none", "log1000")
+    y = np.array([-5000.0, 0.0, 2.5])
+    assert apply_transform("none", y).tobytes() == y.tobytes()
+    assert apply_transform("log1000", y[1:]).tobytes() == np.log1p(y[1:] / 1000.0).tobytes()
+    message = "unknown transform 'log10' (expected log1000 or none)"
+    with pytest.raises(DataError, match=re.escape(message)):
+        apply_transform("log10", y)
+    # the name is checked before the file is opened
+    with pytest.raises(DataError, match="unknown transform"):
+        load_csv("/nonexistent/file.csv", "log10")
 
 
 def test_missing_columns_fatal(tmp_path):

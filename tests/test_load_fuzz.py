@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import vcterm.io as vcterm_io
 from vcterm import DataError
-from vcterm.io import load_csv, parse_transform
+from vcterm.io import load_csv
 
 import oracles
 
@@ -81,7 +81,7 @@ def csv_text(draw):
 
 def _outcome(loader, path, transform):
     try:
-        dataset, report = loader(path, parse_transform(transform))
+        dataset, report = loader(path, transform)
     except DataError as exc:
         return "error", str(exc)
     arrays = [dataset.times, dataset.covariates, dataset.responses,

@@ -240,8 +240,7 @@ def _slice_svg(path: str, T: float, rows, p: int):
         color = svgmod.PALETTE[(k - 1) % len(svgmod.PALETTE)]
         curves.append((f"b{k}", est, color))
         bands.append((lo, hi, color))
-    svgmod.line_chart(path, ts, curves, bands, title=f"T = {T:g}",
-                      x_label="t", y_label="estimate")
+    svgmod.line_chart(path, ts, curves, bands, title=f"T = {T:g}")
 
 
 def cmd_cv(args) -> int:
@@ -336,8 +335,7 @@ def cmd_heatmap(args) -> int:
         raise DataError(f"{args.coverage}: grid is not rectangular")
     grid = np.array([p[2] for p in pts])[index]
     title = args.title or f"coverage (coefficient {meta.get('coefficient', '?')})"
-    svgmod.heatmap_chart(args.out, t_vals, s_vals, grid, title=title,
-                         x_label="t", y_label="s")
+    svgmod.heatmap_chart(args.out, t_vals, s_vals, grid, title=title)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -3,11 +3,13 @@
 Every fit is a batch of targets (t0, s0) handed to `solve`. Observations sit
 in square cells of side reach = truncation_radius * h, so each kernel disk
 lies in the 3 x 3 cells around its target's cell (the fixed-radius
-near-neighbour cell list of Bentley, Stanat & Williams, 1977). Per cell,
-blocks of at most CHUNK targets form a kernel block W, zero-padded to CHUNK
-rows, times the stacked features [vec(x x'), x y] of the cell's candidates.
-The fixed block height and per-cell candidate sets keep each target's bits
-independent of the batch.
+near-neighbour cell list of Bentley, Stanat & Williams, 1977). Per cell, the
+targets go in slabs of at most 2 * CHUNK: one kernel evaluation per slab
+fills a slab x candidates weight block W in place, in two buffers reused
+across the cell's slabs. W then multiplies the stacked features
+[vec(x x'), x y] of the cell's candidates CHUNK rows at a time, a partial
+last chunk zero-padded to CHUNK rows. The fixed GEMM height and per-cell
+candidate sets keep each target's bits independent of the batch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from .data import Dataset
-from .kernel import Kernel, kernel_eval
+from .kernel import Kernel, _weigh
 
 STATUS_OK = "ok"
 STATUS_SINGULAR = "singular"
@@ -28,7 +30,7 @@ STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_EMPTY)  # indexed by status code
 # reciprocal condition number below which a local Gram matrix is singular
 RCOND_MIN = 1e-12
 
-CHUNK = 8
+CHUNK = 8  # rows per GEMM
 
 
 class View:
@@ -59,8 +61,9 @@ Solution = namedtuple("Solution", "beta n_eff status evals evecs")
 
 
 def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
-    """Yield (rows, cand, W, F[cand]); W[r, c] weighs observation cand[c] at
-    target rows[r], and is zero when fold[0][rows[r]] == fold[1][cand[c]]."""
+    """Yield (rows, cand, W, F[cand]) per slab; W[r, c] weighs observation cand[c]
+    at target rows[r], and is zero when fold[0][rows[r]] == fold[1][cand[c]].
+    W lives in a buffer that the next slab overwrites."""
     if view.n_obs == 0:
         return
     lo_t, lo_s = view.t.min(), view.s.min()
@@ -79,6 +82,7 @@ def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
     b = np.clip(np.floor((s0 - lo_s) / side), -2, ns + 1).astype(np.intp)
     tkeys = (a + 2) * (ns + 4) + (b + 2)
     by_cell = np.argsort(tkeys, kind="stable")
+    hh, slab = h * h, 2 * CHUNK
     for group in np.split(by_cell, np.flatnonzero(np.diff(tkeys[by_cell])) + 1):
         ga, gb = a[group[0]], b[group[0]]
         rows3 = np.arange(max(ga - 1, 0), min(ga + 1, nt - 1) + 1) * ns
@@ -89,12 +93,19 @@ def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
         if cand.size == 0:
             continue
         tc, sc, Fc = view.t[cand], view.s[cand], view.F[cand]
-        for k in range(0, group.size, CHUNK):
-            rows = group[k:k + CHUNK]
-            W = kernel_eval(kernel, (tc - t0[rows, None]) / h,
-                            (sc - s0[rows, None]) / h) / (h * h)
-            if fold is not None:
-                W *= fold[0][rows, None] != fold[1][cand]
+        fc = None if fold is None else fold[1][cand]
+        ubuf, vbuf = np.empty((2, min(group.size, slab), cand.size))
+        for k in range(0, group.size, slab):
+            rows = group[k:k + slab]
+            u, v = ubuf[:rows.size], vbuf[:rows.size]
+            np.subtract(tc, t0[rows, None], out=u)
+            u /= h
+            np.subtract(sc, s0[rows, None], out=v)
+            v /= h
+            W = _weigh(kernel, u, v)
+            W /= hh
+            if fc is not None:
+                W *= np.not_equal(fold[0][rows, None], fc, out=v)
             yield rows, cand, W, Fc
 
 
@@ -107,17 +118,21 @@ def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
     With a weights dict, weights[i] = (idx, w) lists each supported target's nonzero weights.
     """
     t0, s0 = np.asarray(t0, dtype=float), np.asarray(s0, dtype=float)
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError("bandwidth h must be positive and finite")
+    h = float(h)
+    if not (h > 0 and 0 < h * h < math.inf):  # W divides by h * h
+        raise ValueError("bandwidth h must be positive and finite, and so must h*h")
     if not (np.isfinite(t0).all() and np.isfinite(s0).all()):
         raise ValueError("target points must be finite")
     p, B = view.p, t0.size
     mom = np.zeros((B, p * p + p))
     n_eff = np.zeros(B, dtype=np.intp)
     for rows, cand, W, Fc in _blocks(view, t0, s0, h, kernel, fold):
-        block = np.zeros((CHUNK, cand.size))
-        block[:rows.size] = W
-        mom[rows] = (block @ Fc)[:rows.size]
+        for k in range(0, rows.size, CHUNK):
+            block = W[k:k + CHUNK]
+            if block.shape[0] < CHUNK:
+                block = np.zeros((CHUNK, cand.size))
+                block[:rows.size - k] = W[k:]
+            mom[rows[k:k + CHUNK]] = (block @ Fc)[:rows.size - k]
         n_eff[rows] = np.count_nonzero(W, axis=1)
         if weights is not None:
             weights.update((r, (cand[w != 0], w[w != 0])) for r, w in zip(rows, W))

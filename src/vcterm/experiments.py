@@ -92,15 +92,23 @@ class StudyConfig:
             raise ValueError("replications must be at least 1")
         if self.h_policy not in H_POLICIES:
             raise ValueError(f"h_policy must be one of {H_POLICIES}")
-        if self.h_policy == "fixed" and not (self.h_fixed and self.h_fixed > 0):
-            raise ValueError("fixed h_policy needs a positive h_fixed")
+        h = self.h_fixed
+        if self.h_policy == "fixed" and not (h and h > 0 and 0 < h * h < math.inf):
+            raise ValueError("fixed h_policy needs a positive h_fixed whose square is "
+                             "a positive finite float")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         # n^(-gamma) only grows as n falls, so every drawn cohort passes too
         undersmoothing_factor(self.sim.n, self.gamma)
-        for t, s in self.grid.eval_points():
+        points = self.grid.eval_points()
+        for t, s in points:
             if t < 0 or s < 0:
                 raise ValueError(f"grid point ({t}, {s}) leaves the first quadrant")
+        if self.grid.kind == "rect":
+            try:  # the coverage heatmaps need each mesh point exactly once
+                rect_index(points)
+            except ValueError:
+                raise ValueError("rect_t and rect_s must not repeat a value") from None
 
 
 @dataclass

@@ -46,13 +46,25 @@ class Kernel:
 DEFAULT_KERNEL = Kernel()
 
 
+def _weigh(kernel: Kernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The kernel at standardized offsets (u, v) of one shape, written over u and
+    returned; v is overwritten too. Zero outside the disk, NaN at a NaN offset."""
+    u *= u
+    v *= v
+    u += v  # squared radius
+    np.less_equal(u, kernel.truncation_radius**2, out=v)  # 1.0 inside the disk, 0.0 outside
+    u *= -0.5
+    np.exp(u, out=u)
+    u *= kernel.normalizer
+    u /= _TWO_PI
+    u *= v
+    return u
+
+
 def kernel_eval(kernel: Kernel, u, v):
-    """Evaluate the kernel at standardized offsets; zero outside the disk."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rsq = u * u + v * v
-    density = kernel.normalizer * np.exp(-0.5 * rsq) / _TWO_PI
-    out = np.where(rsq <= kernel.truncation_radius**2, density, 0.0)
+    """Evaluate the kernel at standardized offsets; zero outside the disk, NaN at a NaN offset."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = _weigh(kernel, u.copy(), v.copy())
     if out.ndim == 0:
         return float(out)
     return out

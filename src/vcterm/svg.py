@@ -70,7 +70,8 @@ class _Scale:
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
-def _axes(canvas: _Canvas, scale: _Scale, x_label: str, y_label: str):
+def _axes(canvas: _Canvas, scale: _Scale):
+    """Axes, ticks and the labels t and estimate of a line chart."""
     x0, y0 = MARGIN_L, HEIGHT - MARGIN_B
     x1, y1 = WIDTH - MARGIN_R, MARGIN_T
     canvas.add(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
@@ -89,17 +90,15 @@ def _axes(canvas: _Canvas, scale: _Scale, x_label: str, y_label: str):
             f'<text x="{x0 - 6}" y="{_f(py + 3)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{"%.3g" % tick}</text>'
         )
-    if x_label:
-        canvas.add(
-            f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_esc(x_label)}</text>'
-        )
-    if y_label:
-        canvas.add(
-            f'<text x="14" y="{(y0 + y1) // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" '
-            f'transform="rotate(-90 14 {(y0 + y1) // 2})">{_esc(y_label)}</text>'
-        )
+    canvas.add(
+        f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="11">t</text>'
+    )
+    canvas.add(
+        f'<text x="14" y="{(y0 + y1) // 2}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="11" '
+        f'transform="rotate(-90 14 {(y0 + y1) // 2})">estimate</text>'
+    )
 
 
 def _finite_runs(x, y):
@@ -118,9 +117,8 @@ def _finite_runs(x, y):
     return runs
 
 
-def line_chart(path: str, x, curves, bands=(), title: str = "",
-               x_label: str = "", y_label: str = ""):
-    """curves: (label, values, color); bands: (lo, hi, color)."""
+def line_chart(path: str, x, curves, bands=(), title: str = ""):
+    """Curves of estimates against t. curves: (label, values, color); bands: (lo, hi, color)."""
     x = [float(v) for v in x]
     values = []
     for _, ys, _ in curves:
@@ -141,7 +139,7 @@ def line_chart(path: str, x, curves, bands=(), title: str = "",
                     for i in reversed(range(a, b))]
             canvas.add(f'<polygon points="{" ".join(pts)}" fill="{color}" '
                        f'fill-opacity="0.25" stroke="none"/>')
-    _axes(canvas, scale, x_label, y_label)
+    _axes(canvas, scale)
     legend_y = MARGIN_T + 8
     for label, ys, color in curves:
         for a, b in _finite_runs(x, ys):
@@ -175,8 +173,7 @@ def _heat_color(frac: float) -> str:
     return f"rgb({int(round(r))},{int(round(g))},{int(round(b))})"
 
 
-def heatmap_chart(path: str, t_values, s_values, grid, title: str = "",
-                  x_label: str = "t", y_label: str = "s"):
+def heatmap_chart(path: str, t_values, s_values, grid, title: str = ""):
     """grid[j, i] is the value at (t_values[i], s_values[j]); NaN cells are
     drawn hatched gray to distinguish missing from low values."""
     grid = np.asarray(grid, dtype=float)
@@ -215,10 +212,10 @@ def heatmap_chart(path: str, t_values, s_values, grid, title: str = "",
         canvas.add(f'<text x="{MARGIN_L - 6}" y="{_f(py + 3)}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="9">{"%.3g" % s}</text>')
     canvas.add(f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="11">{_esc(x_label)}</text>')
+               'font-family="sans-serif" font-size="11">t</text>')
     canvas.add(f'<text x="14" y="{MARGIN_T + plot_h / 2}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="11" '
-               f'transform="rotate(-90 14 {MARGIN_T + plot_h / 2})">{_esc(y_label)}</text>')
+               f'transform="rotate(-90 14 {MARGIN_T + plot_h / 2})">s</text>')
     # color bar
     bar_x = WIDTH - MARGIN_R - 40
     steps = 32

@@ -403,3 +403,33 @@ def test_study_with_nan_gamma_fails_before_any_output(tmp_path, capsys):
     err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err_line["code"] == 3 and "invalid study config" in err_line["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("h", ["1e-170", "1e200"])
+@pytest.mark.parametrize("argv", [["fit", "--t0", "1", "--s0", "6"], ["slice", "--T", "8"],
+                                  ["cv", "--folds", "2"]])
+def test_bandwidth_whose_square_is_zero_or_inf_is_usage_error(noiseless_csv, capsys, argv, h):
+    h_args = ["--h-grid", h] if argv[0] == "cv" else ["--h", h]
+    assert main(argv + h_args + ["--data", noiseless_csv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err_line = json.loads(err.splitlines()[-1])
+    assert err_line["code"] == 2
+    assert "bandwidth h must be positive and finite" in err_line["error"]
+
+
+@pytest.mark.parametrize("change", [
+    ("grid = points\npoints = 1:8;2:7\n", "grid = rect\nrect_t = 1,1,2\nrect_s = 4,6\n"),
+    ("grid = points\npoints = 1:8;2:7\n", "grid = rect\nrect_t = 1,2\nrect_s = 6,4,6.0\n"),
+    ("h_fixed = 2.5", "h_fixed = 1e200"),
+    ("h_fixed = 2.5", "h_fixed = 1e-170"),
+])
+def test_unrunnable_study_config_fails_before_any_output(tmp_path, capsys, change):
+    cfg = tmp_path / "study.conf"
+    assert change[0] in STUDY_CONFIG
+    cfg.write_text(STUDY_CONFIG.replace(*change), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err_line["code"] == 3 and "invalid study config" in err_line["error"]
+    assert not out.exists()

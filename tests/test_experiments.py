@@ -85,6 +85,15 @@ def test_study_config_validation():
                     grid=GridSpec(kind="points", points=((-1.0, 2.0),)))
 
 
+def test_study_config_rejects_what_would_fail_mid_run():
+    with pytest.raises(ValueError, match="rect_t and rect_s must not repeat a value"):
+        _small_study(grid=GridSpec(kind="rect", rect_t=(1.0, 1.0, 2.0), rect_s=(4.0, 6.0)))
+    _small_study(grid=GridSpec(kind="rect", rect_t=(1.0, 2.0), rect_s=(4.0, 6.0)))
+    for h in (1e-170, 1e200, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive h_fixed"):
+            _small_study(h=h)
+
+
 def test_replication_seed_sequences_stable():
     a = replication_seed_sequences(7, 4)
     b = replication_seed_sequences(7, 4)

@@ -238,6 +238,20 @@ def test_bandwidth_must_be_positive():
         residuals(data, -1.0)
 
 
+@pytest.mark.parametrize("h", [1e-170, 1e200])
+def test_bandwidth_whose_square_is_zero_or_inf_is_rejected(h):
+    # at 1e-170 h*h is 0, and an own-visit fit would divide 0 by 0; at 1e200 it
+    # is inf, and every visit would get weight 0 although all lie in the disk
+    data = _cohort()
+    t, s = _visits(data)
+    assert h * h in (0.0, np.inf)
+    for call in (lambda: local_fit(data, float(t[0]), float(s[0]), h),
+                 lambda: fit_grid(data, [(2.0, 6.0)], h),
+                 lambda: residuals(data, h)):
+        with pytest.raises(ValueError, match="bandwidth h must be positive and finite"):
+            call()
+
+
 def test_fit_grid_matches_pointwise_and_repeats_bit_for_bit():
     rng = np.random.default_rng(73)
     data = oracles.make_tiny_dataset(rng, 10, 2)

@@ -103,3 +103,51 @@ def test_moments_quadrature_floor():
 def test_constructor_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
         Kernel(**bad)
+
+
+def _where_formula(kernel, u, v):
+    """kernel_eval as first written: np.where over the whole density."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    rsq = u * u + v * v
+    density = kernel.normalizer * np.exp(-0.5 * rsq) / (2.0 * math.pi)
+    out = np.where(rsq <= kernel.truncation_radius**2, density, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kernel", [DEFAULT_KERNEL, Kernel(truncation_radius=1.5, normalizer=3.0)])
+def test_kernel_eval_equals_the_where_formula_bit_for_bit(kernel):
+    rng = np.random.default_rng(17)
+    u = rng.normal(scale=2.0, size=(12, 40))
+    v = rng.normal(scale=2.0, size=(12, 40))
+    for a, b in [(u, v), (u, v[0]), (0.25, v), (u[0, 0], v[0, 0])]:
+        assert _bits(kernel_eval(kernel, a, b)) == _bits(_where_formula(kernel, a, b))
+    # offsets exactly on the truncation circle, where the disk test is decided by <=
+    r2 = kernel.truncation_radius**2
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=20000)
+    cu = kernel.truncation_radius * np.cos(angle)
+    cv = kernel.truncation_radius * np.sin(angle)
+    edge = cu * cu + cv * cv == r2
+    cu = np.append(cu[edge], kernel.truncation_radius)
+    cv = np.append(cv[edge], 0.0)
+    assert cu.size > 100
+    got = kernel_eval(kernel, cu, cv)
+    assert _bits(got) == _bits(_where_formula(kernel, cu, cv))
+    assert (got > 0.0).all()
+    out = np.nextafter(cu, 2 * cu)
+    assert _bits(kernel_eval(kernel, out, cv)) == _bits(_where_formula(kernel, out, cv))
+    # 0-d inputs give a float with the same bits
+    for a, b in [(0.0, 0.0), (0.3, -1.1), (kernel.truncation_radius, 0.0), (np.float64(5.0), 0.0)]:
+        got = kernel_eval(kernel, a, b)
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(_where_formula(kernel, a, b))
+
+
+def test_kernel_eval_leaves_its_inputs_alone():
+    u, v = np.array([0.5, 1.0]), np.array([-0.5, 3.0])
+    kernel_eval(DEFAULT_KERNEL, u, v)
+    assert u.tolist() == [0.5, 1.0] and v.tolist() == [-0.5, 3.0]

@@ -20,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from .data import Dataset
-from .kernel import Kernel, _weigh
+from .kernel import _TWO_PI, Kernel, _weigh
 
 STATUS_OK = "ok"
 STATUS_SINGULAR = "singular"
@@ -109,33 +109,50 @@ def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
             yield rows, cand, W, Fc
 
 
+def check_bandwidth(h: float, kernel: Kernel):
+    """ValueError unless h, h * h and the largest weight K(0, 0) / h^2 are positive
+    and finite (W divides by h * h)."""
+    if not (h > 0 and 0 < h * h < math.inf):
+        raise ValueError("bandwidth h must be positive and finite, and so must h*h")
+    if not kernel.normalizer / _TWO_PI / (h * h) < math.inf:
+        raise ValueError(f"bandwidth h={h!r} is too small: the kernel weight K(0, 0) / h^2 "
+                         "overflows")
+
+
 def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
           weights: dict | None = None) -> Solution:
     """Local fits at all targets (t0[i], s0[i]) in one pass.
 
     A target is "empty_support" when fewer than p observations carry weight,
     "singular" when its Gram matrix fails the reciprocal-condition test.
+    ValueError when check_bandwidth fails (with the default kernel, h below
+    about 3.05e-155) or a kernel moment overflows.
     With a weights dict, weights[i] = (idx, w) lists each supported target's nonzero weights.
     """
     t0, s0 = np.asarray(t0, dtype=float), np.asarray(s0, dtype=float)
     h = float(h)
-    if not (h > 0 and 0 < h * h < math.inf):  # W divides by h * h
-        raise ValueError("bandwidth h must be positive and finite, and so must h*h")
+    check_bandwidth(h, kernel)
     if not (np.isfinite(t0).all() and np.isfinite(s0).all()):
         raise ValueError("target points must be finite")
     p, B = view.p, t0.size
     mom = np.zeros((B, p * p + p))
     n_eff = np.zeros(B, dtype=np.intp)
-    for rows, cand, W, Fc in _blocks(view, t0, s0, h, kernel, fold):
-        for k in range(0, rows.size, CHUNK):
-            block = W[k:k + CHUNK]
-            if block.shape[0] < CHUNK:
-                block = np.zeros((CHUNK, cand.size))
-                block[:rows.size - k] = W[k:]
-            mom[rows[k:k + CHUNK]] = (block @ Fc)[:rows.size - k]
-        n_eff[rows] = np.count_nonzero(W, axis=1)
-        if weights is not None:
-            weights.update((r, (cand[w != 0], w[w != 0])) for r, w in zip(rows, W))
+    # an offset or target cell that overflows lies far outside every disk and
+    # weighs zero; past check_bandwidth, only a moment sum can overflow
+    with np.errstate(over="ignore"):
+        for rows, cand, W, Fc in _blocks(view, t0, s0, h, kernel, fold):
+            for k in range(0, rows.size, CHUNK):
+                block = W[k:k + CHUNK]
+                if block.shape[0] < CHUNK:
+                    block = np.zeros((CHUNK, cand.size))
+                    block[:rows.size - k] = W[k:]
+                mom[rows[k:k + CHUNK]] = (block @ Fc)[:rows.size - k]
+            n_eff[rows] = np.count_nonzero(W, axis=1)
+            if weights is not None:
+                weights.update((r, (cand[w != 0], w[w != 0])) for r, w in zip(rows, W))
+    if not np.isfinite(mom).all():
+        raise ValueError(f"the kernel moments overflow at bandwidth h={h!r}: h is too small "
+                         "or the covariates and responses too large")
     evals, evecs = np.linalg.eigh(mom[:, :p * p].reshape(B, p, p))
     lam = evals[:, -1]
     status = np.where(n_eff < p, 2, np.where((lam > 0) & (evals[:, 0] >= RCOND_MIN * lam), 0, 1))

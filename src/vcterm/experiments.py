@@ -19,6 +19,7 @@ import numpy as np
 from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, select_bandwidth,
                         undersmoothing_factor)
 from .data import Dataset
+from .engine import check_bandwidth
 from .errors import DataError
 from .fit import (DEFAULT_KERNEL, STATUS_OK, STATUSES, Kernel, fit_grid, normal_quantile,
                   standard_errors)
@@ -92,10 +93,11 @@ class StudyConfig:
             raise ValueError("replications must be at least 1")
         if self.h_policy not in H_POLICIES:
             raise ValueError(f"h_policy must be one of {H_POLICIES}")
-        h = self.h_fixed
-        if self.h_policy == "fixed" and not (h and h > 0 and 0 < h * h < math.inf):
-            raise ValueError("fixed h_policy needs a positive h_fixed whose square is "
-                             "a positive finite float")
+        if self.h_policy == "fixed":
+            try:
+                check_bandwidth(float(self.h_fixed or 0.0), DEFAULT_KERNEL)
+            except ValueError as exc:
+                raise ValueError(f"fixed h_policy needs a positive h_fixed: {exc}") from None
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         # n^(-gamma) only grows as n falls, so every drawn cohort passes too

@@ -3,13 +3,18 @@
 One row per visit with columns subject_id, visit_time, response,
 followup_end, event_observed, and one x_-prefixed column per non-intercept
 covariate. The intercept is injected on load. Numeric fields are written
-with 17 significant digits so a write/load round trip is exact.
+with 17 significant digits, and an id holding , " CR or LF is quoted as the
+csv module quotes it, so a write/load round trip is exact.
+
+The writer fills one % template per subject. The loader converts each numeric
+column with np.array, which reads a text as float() does, and maps
+event_observed through a table of its distinct texts.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import operator
 from dataclasses import dataclass, field
 
@@ -54,14 +59,21 @@ class IngestionReport:
 
 
 BLOCK_ROWS = 512  # rows parsed per block; only one block's strings are alive at once
+_FLAGS = {"0": 0, "1": 1}  # event_observed text, stripped -> flag; any other reads -1
 
 
-def _numbers(cells):
-    """(float of each cell, mask of the cells that are not numbers; they read NaN)."""
-    try:
-        return np.fromiter(map(float, cells), float, len(cells)), np.zeros(len(cells), bool)
-    except (TypeError, ValueError):
-        values, notnum = np.full(len(cells), np.nan), np.zeros(len(cells), bool)
+def _numbers(cells, padded: bool):
+    """(float of each cell, mask of the cells that are not numbers; they read NaN).
+
+    np.array(cells, dtype=float) reads every text as float() does, but it reads
+    the None that pads a short row as NaN; padded cells take the per-cell path.
+    """
+    if not padded:
+        try:
+            return np.array(cells, dtype=float), np.zeros(len(cells), bool)
+        except (TypeError, ValueError):
+            pass
+    values, notnum = np.full(len(cells), np.nan), np.zeros(len(cells), bool)
     for i, cell in enumerate(cells):
         try:
             values[i] = float(cell)
@@ -94,23 +106,26 @@ class _Columns:
     def block(self, lines, rows):
         """Parse rows read at these line numbers; each row keeps its first failing check."""
         B, width = len(rows), max(self.cols) + 1
-        if min(map(len, rows), default=width) < width:  # a short row reads None past its end
+        padded = min(map(len, rows), default=width) < width
+        if padded:  # a short row reads None past its end
             rows = [r + [None] * (width - len(r)) for r in rows]
         cells = list(zip(*map(operator.itemgetter(*self.cols), rows))) or [()] * len(self.cols)
         for sid in dict.fromkeys(cells[0]):
             self.index.setdefault(sid, len(self.index) - 2)
         code = np.fromiter(map(self.index.__getitem__, cells[0]), np.intp, B)
-        flag_text = [(v or "").strip() for v in cells[4]]
-        flag = np.array([{"0": 0, "1": 1}.get(v, -1) for v in flag_text], np.int8)
+        flag_of = {v: _FLAGS.get((v or "").strip(), -1) for v in dict.fromkeys(cells[4])}
+        flag = np.fromiter(map(flag_of.__getitem__, cells[4]), np.int8, B)
         # (mask, diagnostic from column name and cell, column, cells) in reading order
         checks, numbers = [(code < 0, "empty subject_id", None, cells[0])], {}
         numeric = (3, 1, 2, *range(5, len(self.cols)))  # followup_end, visit_time, response, x
         for k in numeric:
-            v, notnum = numbers.setdefault(self.cols[k], _numbers(cells[k]))
+            v, notnum = numbers.setdefault(self.cols[k], _numbers(cells[k], padded))
             checks += [(notnum, "{0} {1!r} is not numeric", self.names[k], cells[k]),
                        (~notnum & ~np.isfinite(v), "{0} must be finite, got {1!r}",
                         self.names[k], cells[k])]
-        checks.insert(3, (flag < 0, "{0} must be 0 or 1, got {1!r}", self.names[4], flag_text))
+        badflag = flag < 0
+        flag_text = [(v or "").strip() for v in cells[4]] if badflag.any() else cells[4]
+        checks.insert(3, (badflag, "{0} must be 0 or 1, got {1!r}", self.names[4], flag_text))
         fails = np.array([c[0] for c in checks])
         first = np.where(fails.any(axis=0), fails.argmax(axis=0), len(checks))
         rejected = np.flatnonzero(first < len(checks))
@@ -245,32 +260,48 @@ def fmt_cell(v) -> str:
     return str(v)
 
 
+def _id_cell(sid: str) -> str:
+    """A subject id as a CSV field. The csv module quotes one that holds , " CR
+    or LF (QUOTE_MINIMAL, with CR a line break too, so that a reader keeps the
+    row whole); any other id is written as it is."""
+    if not any(c in sid for c in ',"\r\n'):
+        return sid
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow((sid, ""))
+    return buf.getvalue()[:-3]
+
+
 def write_dataset_csv(dataset: Dataset, path: str):
-    """Emit the long format; loading the file back is an exact round trip."""
-    headers = list(REQUIRED_COLUMNS) + [f"{COVARIATE_PREFIX}{k}" for k in range(2, dataset.p + 1)]
+    """Emit the long format; loading the file back is an exact round trip.
+
+    A subject's row template holds its id and follow-up tail, formatted once,
+    and is filled with all of its visits' floats in one % to give one string.
+    """
+    p = dataset.p
+    headers = list(REQUIRED_COLUMNS) + [f"{COVARIATE_PREFIX}{k}" for k in range(2, p + 1)]
+    values = np.column_stack([dataset.times, dataset.responses,
+                              dataset.covariates[:, 1:]]).ravel().tolist()
+    covariates = ("," + _FLOAT_FMT) * (p - 1) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(headers)
-        rows = zip(dataset.times.tolist(), dataset.responses.tolist(),
-                   dataset.covariates[:, 1:].tolist())
-        for sid, count, end, event in zip(dataset.ids, dataset.counts.tolist(),
+        fh.write(",".join(headers) + "\n")
+        end = 0
+        for sid, count, fup, event in zip(dataset.ids, dataset.counts.tolist(),
                                           dataset.followup_end.tolist(),
                                           dataset.event_observed.tolist()):
-            tail = [fmt_cell(end), fmt_cell(event)]
-            for t, y, x in itertools.islice(rows, count):
-                writer.writerow([sid, fmt_cell(t), fmt_cell(y), *tail, *map(fmt_cell, x)])
+            row = (f"{_id_cell(sid).replace('%', '%%')},{_FLOAT_FMT},{_FLOAT_FMT},"
+                   f"{_FLOAT_FMT % fup},{int(event)}{covariates}")
+            start, end = end, end + count * (p + 1)
+            fh.write(row * count % tuple(values[start:end]))
 
 
 def write_truth_csv(truths, path: str):
-    """Generator-side record for simulated cohorts."""
+    """Generator-side record for simulated cohorts, one row per subject."""
+    row = "%s," + ",".join([_FLOAT_FMT] * 4) + ",%d\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "x2", "x3_at_zero", "event_time",
-                         "censor_time", "event_observed"])
+        fh.write("subject_id,x2,x3_at_zero,event_time,censor_time,event_observed\n")
         for tr in truths:
-            writer.writerow([tr.subject_id, fmt_cell(tr.x2), fmt_cell(tr.x3_at_zero),
-                             fmt_cell(tr.event_time), fmt_cell(tr.censor_time),
-                             fmt_cell(tr.event_observed)])
+            fh.write(row % (_id_cell(tr.subject_id), tr.x2, tr.x3_at_zero, tr.event_time,
+                            tr.censor_time, tr.event_observed))
 
 
 def write_table(stream, meta: dict, header, rows):

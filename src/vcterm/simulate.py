@@ -273,15 +273,15 @@ def gen_dataset(config: SimConfig,
     n, m = config.n, config.m
     taus = np.empty((n, m))
     z_cov, uniforms = np.empty((n, m + 2)), np.empty((n, 2))
-    z_corr, z_white = np.empty((n, m)), np.empty((n, m))  # unused under zero_errors
+    z_err = np.empty((n, 2 * m))  # z_corr, then z_white; unused under zero_errors
     for i, child in enumerate(spawn_stateless(ss, n)):
         rng = np.random.default_rng(child)
         taus[i] = gen_visit_times(rng, m, config.nu)
         rng.standard_normal(out=z_cov[i])
-        uniforms[i] = rng.uniform(size=2)
+        rng.random(out=uniforms[i])  # the same bits as rng.uniform(size=2)
         if not config.zero_errors:
-            rng.standard_normal(out=z_corr[i])
-            rng.standard_normal(out=z_white[i])
+            rng.standard_normal(out=z_err[i])
+    z_corr, z_white = z_err[:, :m], z_err[:, m:]
 
     # X3 is also sampled at time zero, where the event rates look at it
     t_cov = np.concatenate((np.zeros((n, 1)), taus), axis=1)

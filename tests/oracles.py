@@ -8,6 +8,8 @@ is meaningful because the code paths share nothing.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +17,8 @@ from scipy.stats import chi2
 
 from vcterm.data import Dataset, Subject
 from vcterm.errors import DataError, NumericalError
-from vcterm.io import COVARIATE_PREFIX, REQUIRED_COLUMNS, IngestionReport, apply_transform
+from vcterm.io import (COVARIATE_PREFIX, REQUIRED_COLUMNS, IngestionReport, apply_transform,
+                       fmt_cell)
 
 # radius of the 95% disk of the standard bivariate normal
 RADIUS_SQ = float(chi2.ppf(0.95, df=2))
@@ -314,6 +317,54 @@ def reference_load_csv(path: str, transform: str = "none"):
 
     dataset = Dataset(subjects, p=1 + len(x_cols))
     return dataset, report
+
+
+# --------------------------------------------------------------------------
+# reference CSV writers
+
+
+class _LfRows:
+    """csv.writer rows ending in LF, quoted as by a writer whose lines end in
+    CR LF, so that a field holding a bare CR is quoted like one holding LF."""
+
+    def __init__(self, fh):
+        self.fh, self.buf = fh, io.StringIO()
+        self.writer = csv.writer(self.buf, lineterminator="\r\n")
+
+    def writerow(self, row):
+        self.buf.seek(0)
+        self.buf.truncate()
+        self.writer.writerow(row)
+        self.fh.write(self.buf.getvalue()[:-2] + "\n")
+
+
+def reference_write_dataset_csv(dataset, path: str):
+    """The row-by-row writer that vcterm.io.write_dataset_csv replaced: one
+    csv.writer row of fmt_cell cells per visit."""
+    headers = list(REQUIRED_COLUMNS) + [f"{COVARIATE_PREFIX}{k}" for k in range(2, dataset.p + 1)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = _LfRows(fh)
+        writer.writerow(headers)
+        rows = zip(dataset.times.tolist(), dataset.responses.tolist(),
+                   dataset.covariates[:, 1:].tolist())
+        for sid, count, end, event in zip(dataset.ids, dataset.counts.tolist(),
+                                          dataset.followup_end.tolist(),
+                                          dataset.event_observed.tolist()):
+            tail = [fmt_cell(end), fmt_cell(event)]
+            for t, y, x in itertools.islice(rows, count):
+                writer.writerow([sid, fmt_cell(t), fmt_cell(y), *tail, *map(fmt_cell, x)])
+
+
+def reference_write_truth_csv(truths, path: str):
+    """The csv.writer truth writer that vcterm.io.write_truth_csv replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = _LfRows(fh)
+        writer.writerow(["subject_id", "x2", "x3_at_zero", "event_time",
+                         "censor_time", "event_observed"])
+        for tr in truths:
+            writer.writerow([tr.subject_id, fmt_cell(tr.x2), fmt_cell(tr.x3_at_zero),
+                             fmt_cell(tr.event_time), fmt_cell(tr.censor_time),
+                             fmt_cell(tr.event_observed)])
 
 
 # --------------------------------------------------------------------------

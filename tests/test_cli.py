@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -418,11 +419,37 @@ def test_bandwidth_whose_square_is_zero_or_inf_is_usage_error(noiseless_csv, cap
     assert "bandwidth h must be positive and finite" in err_line["error"]
 
 
+@pytest.mark.parametrize("h", ["1e-160", "1e-156", "3e-155"])
+@pytest.mark.parametrize("argv", [["fit", "--t0", "1", "--s0", "6"], ["slice", "--T", "8"],
+                                  ["cv", "--folds", "2"]])
+def test_bandwidth_whose_kernel_weight_overflows_is_usage_error(noiseless_csv, capsys, argv, h):
+    h_args = ["--h-grid", h] if argv[0] == "cv" else ["--h", h]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + h_args + ["--data", noiseless_csv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err_line = json.loads(err.splitlines()[-1])
+    assert err_line == {"error": f"bandwidth h={float(h)!r} is too small: the kernel weight "
+                                 "K(0, 0) / h^2 overflows", "code": 2}
+
+
+def test_fit_target_far_outside_the_data_is_empty_support(noiseless_csv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--t0", "1e307", "--s0", "6", "--h", "0.01",
+                     "--data", noiseless_csv]) == 4
+    err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err_line == {"error": "fit at (1e+307, 6) failed: empty_support (n_eff=0)",
+                        "code": 4}
+
+
 @pytest.mark.parametrize("change", [
     ("grid = points\npoints = 1:8;2:7\n", "grid = rect\nrect_t = 1,1,2\nrect_s = 4,6\n"),
     ("grid = points\npoints = 1:8;2:7\n", "grid = rect\nrect_t = 1,2\nrect_s = 6,4,6.0\n"),
     ("h_fixed = 2.5", "h_fixed = 1e200"),
     ("h_fixed = 2.5", "h_fixed = 1e-170"),
+    ("h_fixed = 2.5", "h_fixed = 1e-156"),
 ])
 def test_unrunnable_study_config_fails_before_any_output(tmp_path, capsys, change):
     cfg = tmp_path / "study.conf"

@@ -89,7 +89,7 @@ def test_study_config_rejects_what_would_fail_mid_run():
     with pytest.raises(ValueError, match="rect_t and rect_s must not repeat a value"):
         _small_study(grid=GridSpec(kind="rect", rect_t=(1.0, 1.0, 2.0), rect_s=(4.0, 6.0)))
     _small_study(grid=GridSpec(kind="rect", rect_t=(1.0, 2.0), rect_s=(4.0, 6.0)))
-    for h in (1e-170, 1e200, -2.0, math.inf, math.nan):
+    for h in (1e-170, 1e-156, 1e200, -2.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive h_fixed"):
             _small_study(h=h)
 

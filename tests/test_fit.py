@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from vcterm import (
     slice_fit,
 )
 from vcterm import fit as fit_module
+from vcterm.bandwidth import cv_score, make_folds
 from vcterm.data import Subject
 from vcterm.fit import STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, FitPoint, standard_errors
 
@@ -250,6 +254,60 @@ def test_bandwidth_whose_square_is_zero_or_inf_is_rejected(h):
                  lambda: residuals(data, h)):
         with pytest.raises(ValueError, match="bandwidth h must be positive and finite"):
             call()
+
+
+@pytest.mark.parametrize("h", [1e-160, 1e-156, 3e-155])
+def test_bandwidth_whose_kernel_weight_overflows_is_rejected(h):
+    # h * h is subnormal and positive, and K(0, 0) / h^2 exceeds the largest float
+    data = _cohort()
+    t, s = _visits(data)
+    assert 0 < h * h < 1e-308
+    calls = (lambda: local_fit(data, float(t[0]), float(s[0]), h),
+             lambda: fit_grid(data, [(2.0, 6.0)], h),
+             lambda: residuals(data, h),
+             lambda: cv_score(data, make_folds(data, 2, 0), h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"bandwidth h={h!r} is too small")):
+                call()
+
+
+def test_bandwidth_whose_moments_overflow_is_rejected_without_a_warning():
+    data = _cohort()
+    t, s = _visits(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("moments overflow at bandwidth "
+                                                       "h=3.1e-155")):
+            local_fit(data, float(t[0]), float(s[0]), 3.1e-155)
+        # the smallest decade whose weights and moments stay finite here
+        fit = local_fit(data, float(t[0]), float(s[0]), 1e-154)
+    assert fit.status == STATUS_EMPTY and fit.n_eff == 1
+
+
+@pytest.mark.parametrize("t0, s0", [(1e307, 6.0), (-1e307, 6.0), (2.0, 1.7e308),
+                                     (-1.7e308, -1.7e308)])
+def test_target_far_outside_the_data_is_empty_support_without_a_warning(t0, s0):
+    # (t0 - min t) / cell side overflows to inf: the target's cell has no data neighbours
+    data = _cohort()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = local_fit(data, t0, s0, 0.01)
+        grid = fit_grid(data, [(t0, s0), (2.0, 6.0)], 0.01)
+    assert fit.status == STATUS_EMPTY and fit.n_eff == 0
+    assert grid[0].status == STATUS_EMPTY and grid[1] == fit_grid(data, [(2.0, 6.0)], 0.01)[0]
+
+
+def test_data_whose_moments_overflow_at_an_ordinary_bandwidth_is_rejected():
+    data = _cohort()
+    data.covariates[:, 1] = 1.3e154  # x2^2 is finite, its weighted sum is not
+    t, s = _visits(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h is too small or the covariates and "
+                                             "responses too large"):
+            local_fit(data, float(t[0]), float(s[0]), 2.0)
 
 
 def test_fit_grid_matches_pointwise_and_repeats_bit_for_bit():

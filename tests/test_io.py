@@ -1,11 +1,20 @@
+import csv
+import dataclasses
+import io
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from vcterm import DataError, SimConfig, gen_dataset
-from vcterm.io import (TRANSFORMS, apply_transform, load_csv, read_table, write_dataset_csv,
-                       write_truth_csv)
+import vcterm.io as vcterm_io
+from vcterm import DataError, Dataset, SimConfig, gen_dataset
+from vcterm.io import (TRANSFORMS, IngestionReport, apply_transform, load_csv, read_table,
+                       write_dataset_csv, write_truth_csv)
+from vcterm.simulate import TruthRecord
 
 import oracles
 
@@ -33,6 +42,15 @@ def test_round_trip_is_exact(tmp_path):
         np.testing.assert_array_equal(a.responses, b.responses)
         assert a.followup_end == b.followup_end
         assert a.event_observed == b.event_observed
+
+
+def test_simulated_cohort_is_written_as_the_reference_writer_writes_it(tmp_path):
+    ds, truths = gen_dataset(SimConfig(n=40, seed=29))
+    for write, reference, value in ((write_dataset_csv, oracles.reference_write_dataset_csv, ds),
+                                    (write_truth_csv, oracles.reference_write_truth_csv, truths)):
+        write(value, str(tmp_path / "a.csv"))
+        reference(value, str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_truth_csv_round_trip_values(tmp_path):
@@ -185,3 +203,118 @@ def test_read_table_meta_and_rows(tmp_path):
 def test_load_csv_missing_file():
     with pytest.raises(DataError):
         load_csv("/nonexistent/file.csv")
+
+
+# -- writers against the reference writers, and back through load_csv ----------
+
+# ids hold the characters that need quoting, spaces, % and non-ASCII text, and
+# any other character UTF-8 can encode; the loader rejects an empty id by design
+ID = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "%", "é", "中"]),
+                       st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=5)
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1e308, -1e308,
+               1.7976931348623157e308]
+FLOAT = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def cohorts(draw):
+    """A valid cohort that load_csv keeps whole: times from -0.0 or 0 up to the follow-up."""
+    p = draw(st.integers(1, 3))
+    ids = draw(st.lists(ID, min_size=1, max_size=5, unique=True))
+    counts, times, fups = [], [], []
+    for _ in ids:
+        fup = draw(st.one_of(st.sampled_from([5e-324, 1e-310, 1.0, 1e308]),
+                             st.floats(min_value=5e-324, max_value=1e308)))
+        t = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=fup),
+                                 min_size=1, max_size=4, unique=True)))
+        if t[0] == 0.0 and draw(st.booleans()):
+            t[0] = -0.0
+        counts.append(len(t))
+        times += t
+        fups.append(fup)
+    rows = len(times)
+    x = draw(st.lists(st.lists(FLOAT, min_size=p - 1, max_size=p - 1),
+                      min_size=rows, max_size=rows))
+    y = draw(st.lists(FLOAT, min_size=rows, max_size=rows))
+    events = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    covariates = np.column_stack([np.ones(rows), np.array(x, dtype=float).reshape(rows, p - 1)])
+    return Dataset.from_columns(ids, counts, np.array(times), covariates, np.array(y), fups,
+                                events)
+
+
+def _written(write, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write(value, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cohorts())
+def test_dataset_writer_matches_reference_and_round_trips_exactly(dataset):
+    text = _written(write_dataset_csv, dataset)
+    assert text == _written(oracles.reference_write_dataset_csv, dataset)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cohort.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        back, report = load_csv(path)
+    n, rows = dataset.n_subjects, dataset.n_observations
+    assert report == IngestionReport(rows_in=rows, rows_kept=rows, subjects_in=n,
+                                     subjects_kept=n)
+    assert back.ids == dataset.ids
+    for name in ("counts", "times", "covariates", "responses", "followup_end",
+                 "event_observed"):
+        a, b = getattr(back, name), getattr(dataset, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(ID, FLOAT, FLOAT, FLOAT, FLOAT, st.booleans()), max_size=5))
+def test_truth_writer_matches_reference(fields):
+    truths = [TruthRecord(*f) for f in fields]
+    text = _written(write_truth_csv, truths)
+    assert text == _written(oracles.reference_write_truth_csv, truths)
+    rows = list(csv.reader(io.StringIO(text.decode("utf-8"), newline="")))[1:]
+    assert [(r[0], *map(float, r[1:5]), r[5] == "1") for r in rows] == [
+        (f[0], *f[1:]) for f in fields]
+
+
+# a short row reads None past its end: each one here lacks a numeric cell, the
+# event flag or the id, in blocks that also hold full rows of repeated texts
+SHORT_ROWS = {  # header -> (rows, a diagnostic they must give)
+    "subject_id,visit_time,response,followup_end,event_observed,x_2,x_3": ([
+        "a,1.0,2.0,5.0,1,0.5,3", "a,2.0,2.5,5.0,1,0.5,4", "a,3.0,2.0,5.0,1,0.5",
+        "a,4.0,1.0,5.0,1,0.5", "b,1.0,2.0,6.0,0,0.1,1", "b,2.0,2.0,6.0", "c,1.0,2.0",
+        "c,2.0", "", "d", "e,1.5,2.0,7.0,1,0.2,1", "e,2.5,2.0,7.0,1,0.2,2"],
+        "line 4: x_3 None is not numeric"),
+    "visit_time,response,followup_end,event_observed,x_2,subject_id": ([
+        "1.0,2.0,5.0,1,0.5,a", "2.0,2.0,5.0,1,0.5", "3.0,2.0,5.0,1,0.5,a",
+        "1.0,2.0,5.0,1", "4.0,2.0,5.0,1,0.5,a", "1.0,3.0,6.0,0,0.5,b", "2.0,3.0,6.0,0,0.5,b"],
+        "line 3: empty subject_id"),
+}
+
+
+def _loaded(loader, path):
+    try:
+        dataset, report = loader(path)
+    except DataError as exc:
+        return str(exc)
+    arrays = (dataset.times, dataset.covariates, dataset.responses, dataset.followup_end,
+              dataset.event_observed)
+    return (dataset.ids, dataset.counts.tolist(), [a.tobytes() for a in arrays],
+            dataclasses.asdict(report))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, vcterm_io.BLOCK_ROWS])
+@pytest.mark.parametrize("header", list(SHORT_ROWS))
+def test_short_rows_load_as_the_reference_loader_loads_them(tmp_path, monkeypatch, header,
+                                                            block_rows):
+    path = tmp_path / "short.csv"
+    rows, diagnostic = SHORT_ROWS[header]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    monkeypatch.setattr(vcterm_io, "BLOCK_ROWS", block_rows)
+    expected = _loaded(oracles.reference_load_csv, str(path))
+    assert _loaded(load_csv, str(path)) == expected
+    assert diagnostic in expected[3]["diagnostics"]

@@ -14,7 +14,7 @@ from .errors import DataError, NumericalError, UsageError, VctermError
 from .experiments import (GridSpec, SliceTable, StudyConfig, StudyResult, run_study,
                           slice_summary)
 from .fit import (FitError, FitPoint, ResidualTable, confidence_interval, fit_grid,
-                  local_fit, residuals, sandwich_variance, slice_fit)
+                  local_fit, residuals, sandwich_variance)
 from .kernel import DEFAULT_KERNEL, Kernel, KernelMoments, kernel_eval, kernel_moments
 from .simulate import SimConfig, gen_dataset
 
@@ -26,5 +26,5 @@ __all__ = [
     "SimConfig", "SliceTable", "StudyConfig", "StudyResult", "UsageError",
     "VctermError", "confidence_interval", "fit_grid", "gen_dataset", "kernel_eval",
     "kernel_moments", "local_fit", "residuals", "run_study", "sandwich_variance",
-    "select_bandwidth", "slice_fit", "slice_summary", "undersmoothing_factor",
+    "select_bandwidth", "slice_summary", "undersmoothing_factor",
 ]

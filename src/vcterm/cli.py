@@ -143,15 +143,9 @@ def _emit_rows(fmt: str, header, rows, meta: dict, stream=None):
     if fmt == "json":
         payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
         # dumps takes the C encoder; dump would encode chunk by chunk in Python
-        stream.write(json.dumps(payload, sort_keys=True, default=_json_default) + "\n")
+        stream.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         iomod.write_table(stream, meta, header, rows)
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    raise TypeError(f"not serializable: {type(v)}")
 
 
 def _estimates(fp, n_cc: int, z: float) -> list[tuple]:

@@ -6,16 +6,19 @@ Estimation only ever uses the complete-case subjects, i.e. those whose
 event was observed.
 
 A Dataset is its validated columns and nothing else; every fit reads them afresh.
-`Subject`, `Dataset(subjects, p)`, which copies its subjects into columns, and
-`Dataset.subjects`, which views the current columns, remain only as the adapter the
-benchmark builds and checks its cohort with; no other module of the package reads them.
+A `Subject` is a plain row of one subject's fields. `Dataset(subjects, p)` copies
+such rows into columns and checks them there, as `Dataset.from_columns` does, and
+`Dataset.subjects` gives rows that view the current columns. The benchmark builds
+and checks its cohort with these; no other module of the package reads them.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-# the Subject rules, checked in this order; a subject reports its first failure
+# the subject rules, checked in this order; a subject reports its first failure
 _RULES = ("needs at least one visit", "covariates must be (n_visits, p)",
           "responses must match visit count", "visit times must be strictly increasing",
           "followup_end must be positive", "visit time exceeds followup_end",
@@ -24,7 +27,7 @@ _RULES = ("needs at least one visit", "covariates must be (n_visits, p)",
 
 
 def check_subjects(ids, counts, times, covariates, responses, followup_end):
-    """Raise ValueError for the first subject that breaks a Subject rule.
+    """Raise ValueError for the first subject that breaks a subject rule.
 
     Subject k owns the next counts[k] rows of times, covariates and
     responses; the rules run once over the concatenated arrays.
@@ -57,36 +60,14 @@ def check_subjects(ids, counts, times, covariates, responses, followup_end):
         raise ValueError(f"subject {ids[k]}: {_RULES[int(np.argmax(fails[:, k]))]}")
 
 
-class Subject:
-    """All visits of one subject plus its follow-up outcome."""
+class Subject(namedtuple("Subject", "id times covariates responses followup_end event_observed")):
+    """All visits of one subject plus its follow-up outcome, as given; Dataset checks it."""
 
-    __slots__ = ("id", "times", "covariates", "responses", "followup_end", "event_observed")
-
-    def __init__(self, id, times, covariates, responses, followup_end, event_observed,
-                 check: bool = True):
-        """check=False skips the rules, for fields taken from a checked Dataset."""
-        self.id = str(id)
-        self.times = np.asarray(times, dtype=float)
-        self.covariates = np.asarray(covariates, dtype=float)
-        self.responses = np.asarray(responses, dtype=float)
-        self.followup_end = float(followup_end)
-        self.event_observed = bool(event_observed)
-        if check:
-            check_subjects([self.id], [self.times.size], self.times, self.covariates,
-                           self.responses, [self.followup_end])
+    __slots__ = ()
 
     @property
     def n_visits(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def p(self) -> int:
-        return int(self.covariates.shape[1])
-
-    @property
-    def event_time(self):
-        """Terminal event time; defined only when the event was observed."""
-        return self.followup_end if self.event_observed else None
+        return len(self.times)
 
 
 class Dataset:
@@ -98,37 +79,40 @@ class Dataset:
     """
 
     def __init__(self, subjects, p: int | None = None):
-        subjects = tuple(subjects)
-        if not subjects and p is None:
-            raise ValueError("empty dataset needs an explicit covariate dimension p")
-        p = int(p) if p is not None else subjects[0].p
+        """Copy the subjects into columns; p defaults to the first subject's."""
+        p, rows = None if p is None else int(p), []
         for s in subjects:
-            if s.p != p:
-                raise ValueError(f"subject {s.id}: covariate dimension {s.p} != {p}")
-        self._store([s.id for s in subjects], [s.n_visits for s in subjects],
-                    np.concatenate([np.empty(0)] + [s.times for s in subjects]),
-                    np.vstack([np.empty((0, p))] + [s.covariates for s in subjects]),
-                    np.concatenate([np.empty(0)] + [s.responses for s in subjects]),
-                    [s.followup_end for s in subjects], [s.event_observed for s in subjects])
+            t, X, y = (np.asarray(a, dtype=float) for a in s[1:4])
+            if t.ndim != 1 or X.ndim != 2 or X.shape[0] != t.size or y.shape != t.shape:
+                check_subjects([s.id], [t.size], t, X, y, [s.followup_end])  # raises, naming s
+            p = X.shape[1] if p is None else p
+            if X.shape[1] != p:
+                raise ValueError(f"subject {s.id}: covariate dimension {X.shape[1]} != {p}")
+            rows.append((s.id, t.size, t, X, y, s.followup_end, s.event_observed))
+        if p is None:
+            raise ValueError("empty dataset needs an explicit covariate dimension p")
+        ids, counts, t, X, y, fup, flag = zip(*rows) if rows else [()] * 7
+        self._store(ids, counts, np.concatenate((np.empty(0),) + t),
+                    np.vstack((np.empty((0, p)),) + X), np.concatenate((np.empty(0),) + y),
+                    fup, flag)
 
     @classmethod
     def from_columns(cls, ids, counts, times, covariates, responses, followup_end,
                      event_observed) -> "Dataset":
         """A cohort from concatenated subjects; p is covariates.shape[1].
 
-        Applies the Subject rules once over the columns and rejects repeated
-        ids, raising the ValueError that subject-by-subject construction
-        would raise first.
+        Raises the ValueError that Dataset(subjects) would raise for the same subjects.
         """
-        ids = [str(i) for i in ids]
-        times, covariates, responses = (np.asarray(a, dtype=float)
-                                        for a in (times, covariates, responses))
-        check_subjects(ids, counts, times, covariates, responses, followup_end)
         self = object.__new__(cls)
         self._store(ids, counts, times, covariates, responses, followup_end, event_observed)
         return self
 
     def _store(self, ids, counts, times, covariates, responses, followup_end, event_observed):
+        """Apply the subject rules once over the columns, reject repeated ids, and keep them."""
+        ids = [str(i) for i in ids]
+        times, covariates, responses = (np.asarray(a, dtype=float)
+                                        for a in (times, covariates, responses))
+        check_subjects(ids, counts, times, covariates, responses, followup_end)
         if len(set(ids)) != len(ids):
             seen = set()
             dup = next(i for i in ids if i in seen or seen.add(i))
@@ -144,10 +128,10 @@ class Dataset:
     def subjects(self) -> tuple:
         """One Subject per id, built on each access as views of the current columns."""
         cuts = np.cumsum(self.counts)[:-1]
-        return tuple(
-            Subject(*fields, check=False) for fields in zip(
-                self.ids, np.split(self.times, cuts), np.split(self.covariates, cuts),
-                np.split(self.responses, cuts), self.followup_end, self.event_observed))
+        return tuple(map(Subject._make, zip(
+            self.ids, np.split(self.times, cuts), np.split(self.covariates, cuts),
+            np.split(self.responses, cuts), self.followup_end.tolist(),
+            self.event_observed.tolist())))
 
     @property
     def n_subjects(self) -> int:

@@ -51,8 +51,9 @@ class View:
         self.X = dataset.covariates[rows][order]
         self.y = dataset.responses[rows][order]
         self.subj = np.repeat(np.arange(self.n_subjects), counts)[order]
-        outer = self.X[:, :, None] * self.X[:, None, :]
-        self.F = np.hstack([outer.reshape(-1, p * p), self.X * self.y[:, None]])
+        with np.errstate(over="ignore"):  # an infinite feature fails solve's moment check
+            outer = self.X[:, :, None] * self.X[:, None, :]
+            self.F = np.hstack([outer.reshape(-1, p * p), self.X * self.y[:, None]])
 
 
 # per target: beta (NaN unless ok), n_eff, status code into STATUSES, and the
@@ -138,8 +139,9 @@ def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
     mom = np.zeros((B, p * p + p))
     n_eff = np.zeros(B, dtype=np.intp)
     # an offset or target cell that overflows lies far outside every disk and
-    # weighs zero; past check_bandwidth, only a moment sum can overflow
-    with np.errstate(over="ignore"):
+    # weighs zero; past check_bandwidth, only a moment sum can overflow, or be
+    # NaN where a zero weight meets an infinite feature
+    with np.errstate(over="ignore", invalid="ignore"):
         for rows, cand, W, Fc in _blocks(view, t0, s0, h, kernel, fold):
             for k in range(0, rows.size, CHUNK):
                 block = W[k:k + CHUNK]

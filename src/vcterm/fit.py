@@ -91,15 +91,19 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel) -> list[FitPoin
     fits = np.flatnonzero(ok).tolist()
     need = np.zeros(view.n_obs, dtype=bool)
     need[np.concatenate([weights[i][0] for i in fits])] = True
-    resid, valid = _residuals(view, h, kernel, np.flatnonzero(need))
-    eps = np.where(valid, resid, 0.0)
-    for i in fits:
-        idx, w = weights[i]
-        G = np.zeros((view.n_subjects, view.p))
-        np.add.at(G, view.subj[idx], (w * eps[idx])[:, None] * view.X[idx])
-        A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
-        V = view.n_subjects * h * h * (A_inv @ (G.T @ G) @ A_inv)
-        out[i].v_hat = 0.5 * (V + V.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V raises below
+        resid, valid = _residuals(view, h, kernel, np.flatnonzero(need))
+        eps = np.where(valid, resid, 0.0)
+        for i in fits:
+            idx, w = weights[i]
+            G = np.zeros((view.n_subjects, view.p))
+            np.add.at(G, view.subj[idx], (w * eps[idx])[:, None] * view.X[idx])
+            A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
+            V = view.n_subjects * h * h * (A_inv @ (G.T @ G) @ A_inv)
+            out[i].v_hat = 0.5 * (V + V.T)
+            if not np.isfinite(out[i].v_hat).all():
+                raise ValueError(f"the sandwich variance overflows at bandwidth h={h!r}: "
+                                 "the covariates and responses are too large")
     return out
 
 
@@ -189,16 +193,3 @@ def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL
         raise ValueError("grid must contain at least one point")
     return _fit_points(data, points, h, kernel)
 
-
-def slice_fit(data: Dataset, T_fixed: float, t_values, h: float,
-              kernel: Kernel = DEFAULT_KERNEL) -> list[FitPoint]:
-    """Fits along the line t + s = T_fixed, i.e. fixed total event time."""
-    T_fixed = float(T_fixed)
-    ts = [float(t) for t in t_values]
-    if not ts:
-        raise ValueError("t_values must be nonempty")
-    for t in ts:
-        if not 0.0 <= t < T_fixed:
-            raise ValueError(f"slice time t={t} outside [0, T_fixed)")
-    grid = [(t, T_fixed - t) for t in ts]
-    return fit_grid(data, grid, h, kernel)

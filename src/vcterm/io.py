@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -314,23 +315,21 @@ def write_table(stream, meta: dict, header, rows):
 
 
 def read_table(path: str) -> tuple[dict, list[str], list[dict]]:
-    """Read a CSV with `# key=value` comment headers (study artifacts)."""
+    """Read a CSV with `# key=value` comment headers (study artifacts); only the
+    lines before the header are comments, so a row may start with #."""
     meta = {}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        lines = []
         for ln in fh:
-            if ln.startswith("#"):
-                body = ln[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            lines.append(ln)
-    if not lines:
-        raise DataError(f"{path}: no table content")
-    reader = csv.DictReader(lines)
-    return meta, list(reader.fieldnames or []), list(reader)
+            if not ln.startswith("#"):
+                break
+            key, eq, value = ln[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        else:
+            raise DataError(f"{path}: no table content")
+        reader = csv.DictReader(itertools.chain([ln], fh))
+        return meta, list(reader.fieldnames or []), list(reader)

@@ -5,6 +5,9 @@ correlated with a scalar covariate, event and censoring times driven by
 covariate-dependent truncated-exponential rates, and an error process that
 adds a decaying-variance correlated component to white noise. Responses
 follow the varying-coefficient model in (visit time, time-to-event).
+
+gen_dataset draws each subject's numbers from its own stream, then maps them
+to covariates, errors and event times on stacks of subjects.
 """
 
 from __future__ import annotations
@@ -188,13 +191,6 @@ def covariate_covariance(times) -> np.ndarray:
     return sigma
 
 
-def gen_covariates(rng: np.random.Generator, times) -> tuple[float, np.ndarray]:
-    """One draw of (X2, X3 path on the given times)."""
-    t = np.asarray(times, dtype=float)
-    draw = _correlate(covariate_covariance(t), rng.standard_normal(t.size + 1))
-    return float(draw[0]), draw[1:]
-
-
 def _rate(coefs, x2: float, x3_0: float) -> float:
     return math.exp(coefs[0] * x2 + coefs[1] * x3_0 + coefs[2])
 
@@ -206,18 +202,11 @@ def trunc_exp_inverse(u: float, rate: float, upper: float) -> float:
 
 def _event_times(u_event: float, u_cens: float, x2: float, x3_0: float,
                  config: SimConfig) -> tuple[float, float]:
-    """(event time, censoring time) from their two uniforms."""
+    """(event time, censoring time) in [shift, shift + truncation], from two uniforms."""
     rate_t = _rate(config.event_coefs, x2, x3_0)
     rate_c = _rate(config.censor_coefs, x2, x3_0)
     return (config.shift + trunc_exp_inverse(u_event, rate_t, config.truncation),
             config.shift + trunc_exp_inverse(u_cens, rate_c, config.truncation))
-
-
-def gen_event_times(rng: np.random.Generator, x2: float, x3_0: float,
-                    config: SimConfig) -> tuple[float, float]:
-    """(event time, censoring time), both in [shift, shift + truncation]."""
-    u_event = float(rng.uniform())
-    return _event_times(u_event, float(rng.uniform()), x2, x3_0, config)
 
 
 def error_covariance(times, config: SimConfig) -> np.ndarray:
@@ -234,15 +223,6 @@ def _errors(times, z_corr, z_white, config: SimConfig) -> np.ndarray:
     """Correlated component from z_corr plus white noise from z_white."""
     return (_correlate(error_covariance(times, config), z_corr)
             + math.sqrt(config.white_noise_var) * z_white)
-
-
-def gen_errors(rng: np.random.Generator, times, config: SimConfig) -> np.ndarray:
-    """Correlated component plus white noise; all zeros under zero_errors."""
-    t = np.asarray(times, dtype=float)
-    if config.zero_errors:
-        return np.zeros(t.size)
-    z_corr = rng.standard_normal(t.size)
-    return _errors(t, z_corr, rng.standard_normal(t.size), config)
 
 
 def spawn_stateless(seq: np.random.SeedSequence, count: int):

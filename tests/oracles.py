@@ -394,8 +394,8 @@ def reference_gen_dataset(config, seed_seq=None):
     own responses; gen_dataset must give the same Dataset bits and the same
     TruthRecords.
     """
-    from vcterm.simulate import (TruthRecord, beta_value, gen_event_times,
-                                 gen_visit_times, spawn_stateless)
+    from vcterm.simulate import (TruthRecord, _event_times, beta_value, gen_visit_times,
+                                 spawn_stateless)
 
     ss = np.random.SeedSequence(config.seed) if seed_seq is None else seed_seq
     subjects, truths = [], []
@@ -409,7 +409,8 @@ def reference_gen_dataset(config, seed_seq=None):
         cov[1:, 1:] = np.exp(-np.subtract.outer(t, t) ** 2)
         draw = _reference_correlate(cov, rng.standard_normal(t.size + 1))
         x2, x3_0, x3_visits = float(draw[0]), float(draw[1]), draw[2:]
-        t_event, t_cens = gen_event_times(rng, x2, x3_0, config)
+        u_event = float(rng.uniform())
+        t_event, t_cens = _event_times(u_event, float(rng.uniform()), x2, x3_0, config)
         if config.zero_errors:
             eps = np.zeros(taus.size)
         else:

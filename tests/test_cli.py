@@ -8,7 +8,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from vcterm import fit_grid, gen_dataset, local_fit
 from vcterm.cli import build_parser, main
+from vcterm.io import write_dataset_csv
+from vcterm.simulate import SimConfig
 
 NOISELESS_CONFIG = """\
 n = 60
@@ -432,6 +435,27 @@ def test_bandwidth_whose_kernel_weight_overflows_is_usage_error(noiseless_csv, c
     err_line = json.loads(err.splitlines()[-1])
     assert err_line == {"error": f"bandwidth h={float(h)!r} is too small: the kernel weight "
                                  "K(0, 0) / h^2 overflows", "code": 2}
+
+
+@pytest.mark.parametrize("y, what", [(1e300, "the sandwich variance overflows"),
+                                     (1e306, "the sandwich variance overflows"),
+                                     (1.7e308, "the kernel moments overflow")])
+@pytest.mark.filterwarnings("error")
+def test_responses_whose_fit_overflows_are_rejected(tmp_path, capsys, y, what):
+    data, _ = gen_dataset(SimConfig(n=80, seed=5))
+    data.responses[:] = y
+    message = f"{what} at bandwidth h=1.0: "
+    with pytest.raises(ValueError, match="^" + message):
+        local_fit(data, 2.0, 6.0, 1.0)
+    with pytest.raises(ValueError, match="^" + message):
+        fit_grid(data, [(2.0, 6.0), (3.0, 5.0)], 1.0)
+    path = str(tmp_path / "huge.csv")
+    write_dataset_csv(data, path)
+    assert main(["fit", "--data", path, "--t0", "2", "--s0", "6", "--h", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err_line = json.loads(err.splitlines()[-1])
+    assert err_line["code"] == 2 and err_line["error"].startswith(message)
 
 
 def test_fit_target_far_outside_the_data_is_empty_support(noiseless_csv, capsys):

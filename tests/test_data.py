@@ -4,22 +4,18 @@ import pytest
 from vcterm.data import Dataset, Subject
 
 
-def _subject(sid="a", times=(1.0, 2.0), complete=True, p=2, followup=3.0, check=True):
+def _subject(sid="a", times=(1.0, 2.0), complete=True, p=2, followup=3.0):
     times = np.asarray(times, dtype=float)
     m = len(times)
     X = np.column_stack([np.ones(m)] + [np.linspace(0, 1, m) + k
                                         for k in range(p - 1)])
     y = np.arange(m, dtype=float)
-    return Subject(sid, times, X, y, followup, complete, check=check)
+    return Subject(sid, times, X, y, followup, complete)
 
 
 def test_subject_basic_properties():
     s = _subject()
     assert s.n_visits == 2
-    assert s.p == 2
-    assert s.event_time == 3.0
-    s2 = _subject(complete=False)
-    assert s2.event_time is None
 
 
 @pytest.mark.parametrize("times,followup", [
@@ -32,25 +28,25 @@ def test_subject_basic_properties():
 ])
 def test_subject_time_validation(times, followup):
     with pytest.raises(ValueError):
-        _subject(times=times, followup=followup)
+        Dataset([_subject(times=times, followup=followup)])
 
 
 def test_subject_requires_intercept_column():
     times = np.array([1.0, 2.0])
     X = np.column_stack([np.full(2, 2.0), np.ones(2)])
     with pytest.raises(ValueError):
-        Subject("a", times, X, np.zeros(2), 3.0, True)
+        Dataset([Subject("a", times, X, np.zeros(2), 3.0, True)])
 
 
 def test_subject_rejects_nonfinite():
     times = np.array([1.0, 2.0])
     X = np.column_stack([np.ones(2), np.array([1.0, np.nan])])
     with pytest.raises(ValueError):
-        Subject("a", times, X, np.zeros(2), 3.0, True)
+        Dataset([Subject("a", times, X, np.zeros(2), 3.0, True)])
     y = np.array([0.0, np.inf])
     X_ok = np.column_stack([np.ones(2), np.zeros(2)])
     with pytest.raises(ValueError):
-        Subject("a", times, X_ok, y, 3.0, True)
+        Dataset([Subject("a", times, X_ok, y, 3.0, True)])
 
 
 def test_dataset_counts_and_complete_case():
@@ -64,8 +60,22 @@ def test_dataset_counts_and_complete_case():
 
 
 def test_dataset_rejects_mixed_p():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^subject b: covariate dimension 3 != 2$"):
         Dataset([_subject("a", p=2), _subject("b", p=3)])
+
+
+def test_dataset_names_a_misshapen_subject():
+    b = _subject("b")
+    with pytest.raises(ValueError, match="^subject b: responses must match visit count$"):
+        Dataset([_subject("a"), b._replace(responses=b.responses[:1]), _subject("c", p=3)])
+
+
+def test_dataset_checks_subject_views():
+    ds = Dataset([_subject("a"), _subject("b", times=(0.5, 1.5, 2.5))], p=2)
+    views = ds.subjects
+    views[1].times[-1] = 4.0  # edits the columns in place, past b's follow-up at 3.0
+    with pytest.raises(ValueError, match="^subject b: visit time exceeds followup_end$"):
+        Dataset(views, p=2)
 
 
 def test_dataset_rejects_duplicate_ids():
@@ -116,10 +126,10 @@ def _rule_breaker(rule):
 def test_from_columns_rejects_like_subject(rule):
     times, X, y, followup = _rule_breaker(rule)
     with pytest.raises(ValueError) as by_subject:
-        Subject("b", times, X, y, followup, True)
+        Dataset([Subject("b", times, X, y, followup, True)])
     ids, counts, t, cov, resp, fup, flag = _columns([_subject("a"), _subject("c")])
     # b sits between two valid subjects; a later subject breaking a rule is not reported
-    late = _subject("d", times=(2.0, 1.5), followup=3.0, check=False)
+    late = _subject("d", times=(2.0, 1.5), followup=3.0)
     _, d_counts, d_t, d_cov, d_resp, _, _ = _columns([late])
     with pytest.raises(ValueError) as by_columns:
         Dataset.from_columns(
@@ -133,12 +143,12 @@ def test_from_columns_rejects_like_subject(rule):
 def test_from_columns_rejects_shapes_and_duplicates_like_subject():
     a = _subject("a")
     with pytest.raises(ValueError) as by_subject:
-        Subject("a", a.times, a.covariates[:1], a.responses, 3.0, True)
+        Dataset([Subject("a", a.times, a.covariates[:1], a.responses, 3.0, True)])
     with pytest.raises(ValueError) as by_columns:
         Dataset.from_columns(["a"], [2], a.times, a.covariates[:1], a.responses, [3.0], [True])
     assert str(by_columns.value) == str(by_subject.value)
     with pytest.raises(ValueError) as by_subject:
-        Subject("a", a.times, a.covariates, a.responses[:1], 3.0, True)
+        Dataset([Subject("a", a.times, a.covariates, a.responses[:1], 3.0, True)])
     with pytest.raises(ValueError) as by_columns:
         Dataset.from_columns(["a"], [2], a.times, a.covariates, a.responses[:1], [3.0], [True])
     assert str(by_columns.value) == str(by_subject.value)

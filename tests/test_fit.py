@@ -15,7 +15,6 @@ from vcterm import (
     local_fit,
     residuals,
     sandwich_variance,
-    slice_fit,
 )
 from vcterm import fit as fit_module
 from vcterm.bandwidth import cv_score, make_folds
@@ -346,21 +345,6 @@ def test_fit_grid_survives_unsupported_points():
     assert out[0].v_hat is not None
     assert out[1].status == STATUS_EMPTY
     assert out[1].v_hat is None
-
-
-def test_slice_fit_geometry_and_validation():
-    rng = np.random.default_rng(83)
-    data = oracles.make_tiny_dataset(rng, 8, 2)
-    out = slice_fit(data, 3.0, [0.5, 1.0, 2.0], H_WIDE)
-    for fp, t in zip(out, [0.5, 1.0, 2.0]):
-        assert fp.t0 == t
-        assert fp.s0 == pytest.approx(3.0 - t)
-    with pytest.raises(ValueError):
-        slice_fit(data, 3.0, [3.0], H_WIDE)
-    with pytest.raises(ValueError):
-        slice_fit(data, 3.0, [-0.1], H_WIDE)
-    with pytest.raises(ValueError):
-        slice_fit(data, 3.0, [], H_WIDE)
 
 
 def _cohort():

@@ -207,9 +207,10 @@ def test_load_csv_missing_file():
 
 # -- writers against the reference writers, and back through load_csv ----------
 
-# ids hold the characters that need quoting, spaces, % and non-ASCII text, and
-# any other character UTF-8 can encode; the loader rejects an empty id by design
-ID = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "%", "é", "中"]),
+# ids hold the characters that need quoting, spaces, % and # (which opens a
+# comment line before a table's header), non-ASCII text, and any other
+# character UTF-8 can encode; the loader rejects an empty id by design
+ID = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "%", "#", "é", "中"]),
                        st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=5)
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1e308, -1e308,
                1.7976931348623157e308]
@@ -270,6 +271,9 @@ def test_dataset_writer_matches_reference_and_round_trips_exactly(dataset):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+TRUTH_HEADER = ["subject_id", "x2", "x3_at_zero", "event_time", "censor_time", "event_observed"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(ID, FLOAT, FLOAT, FLOAT, FLOAT, st.booleans()), max_size=5))
 def test_truth_writer_matches_reference(fields):
@@ -279,6 +283,12 @@ def test_truth_writer_matches_reference(fields):
     rows = list(csv.reader(io.StringIO(text.decode("utf-8"), newline="")))[1:]
     assert [(r[0], *map(float, r[1:5]), r[5] == "1") for r in rows] == [
         (f[0], *f[1:]) for f in fields]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "truth.csv")
+        write_truth_csv(truths, path)
+        meta, header, table = read_table(path)
+    assert meta == {} and header == TRUTH_HEADER
+    assert [tuple(r.values()) for r in table] == [tuple(r) for r in rows]
 
 
 # a short row reads None past its end: each one here lacks a numeric cell, the

@@ -13,17 +13,14 @@ from vcterm.simulate import (
     beta_value,
     covariate_covariance,
     error_covariance,
-    gen_covariates,
     gen_dataset,
-    gen_errors,
-    gen_event_times,
     gen_visit_times,
     spawn_stateless,
     true_beta,
     trunc_exp_inverse,
 )
 from vcterm.errors import NumericalError
-from vcterm.simulate import _chol_with_jitter, _cholesky
+from vcterm.simulate import _chol_with_jitter, _cholesky, _correlate, _errors, _event_times
 
 import oracles
 
@@ -101,15 +98,10 @@ def test_covariate_covariance_closed_form():
     np.testing.assert_array_equal(sigma, sigma.T)
 
 
-def test_gen_covariates_moments():
+def test_correlated_covariate_moments():
     rng = np.random.default_rng(7)
-    n = 20000
-    x2 = np.empty(n)
-    x3_0 = np.empty(n)
-    for i in range(n):
-        a, path = gen_covariates(rng, [0.0])
-        x2[i] = a
-        x3_0[i] = path[0]
+    draws = _correlate(covariate_covariance([0.0]), rng.standard_normal((20000, 2)))
+    x2, x3_0 = draws.T
     assert np.var(x2) == pytest.approx(1.0, abs=0.05)
     assert np.var(x3_0) == pytest.approx(1.0, abs=0.05)
     corr = np.corrcoef(x2, x3_0)[0, 1]
@@ -164,12 +156,12 @@ def test_trunc_exp_inverse_endpoints():
     assert trunc_exp_inverse(1.0, 0.3, 15.0) == pytest.approx(15.0, abs=1e-9)
 
 
-def test_gen_event_times_range():
+def test_event_times_range():
     cfg = SimConfig(n=1)
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        x2, x3 = gen_covariates(rng, [0.0])
-        t, c = gen_event_times(rng, x2, float(x3[0]), cfg)
+    covariates = _correlate(covariate_covariance([0.0]), rng.standard_normal((200, 2)))
+    for (x2, x3_0), (u_t, u_c) in zip(covariates.tolist(), rng.uniform(size=(200, 2)).tolist()):
+        t, c = _event_times(u_t, u_c, x2, x3_0, cfg)
         assert cfg.shift <= t <= cfg.shift + cfg.truncation
         assert cfg.shift <= c <= cfg.shift + cfg.truncation
 
@@ -183,20 +175,24 @@ def test_error_covariance_closed_form():
     assert sigma[1, 0] == sigma[0, 1]
 
 
-def test_gen_errors_total_variance():
+def test_errors_total_variance():
     # correlated component variance e at t=0 plus unit white noise
     cfg = SimConfig(n=1)
     rng = np.random.default_rng(13)
-    draws = np.array([gen_errors(rng, [0.0], cfg)[0] for _ in range(50000)])
+    draws = _errors([0.0], rng.standard_normal((50000, 1)), rng.standard_normal((50000, 1)), cfg)
     assert np.var(draws) == pytest.approx(math.e + 1.0, rel=0.05)
     assert abs(np.mean(draws)) < 0.05
 
 
-def test_gen_errors_zero_mode():
-    cfg = SimConfig(n=1, zero_errors=True)
-    rng = np.random.default_rng(17)
-    out = gen_errors(rng, [0.5, 1.5, 2.5], cfg)
-    np.testing.assert_array_equal(out, np.zeros(3))
+def test_zero_errors_give_responses_x_beta():
+    cfg = SimConfig(n=40, seed=17, zero_errors=True)
+    ds, truths = gen_dataset(cfg)
+    t_event = {tr.subject_id: tr.event_time for tr in truths}
+    s_axis = np.repeat([t_event[i] for i in ds.ids], ds.counts) - ds.times
+    want = np.zeros(ds.n_observations)
+    for k in range(1, cfg.p + 1):
+        want += ds.covariates[:, k - 1] * beta_value(cfg, k, ds.times, s_axis)
+    assert ds.responses.tobytes() == want.tobytes()
 
 
 def test_spawn_stateless_is_repeatable_and_matches_spawn():

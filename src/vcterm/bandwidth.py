@@ -72,20 +72,30 @@ def cv_score(data: Dataset, folds: FoldAssignment, h: float,
 
     Held-out observations whose fit on the training folds fails are excluded
     from the average; if more than MAX_EXCLUDED_FRACTION are excluded the
-    score is +inf.
+    score is +inf. ValueError, naming h, when the squared errors overflow.
     """
     view = View(data)
     if view.n_obs == 0:
         raise ValueError("no complete-case observations to cross-validate")
     obs_fold = np.array([folds.assignment[sid] for sid in view.subject_ids])[view.subj]
+    h = float(h)
     # each held-out fit weighs only the other folds' observations: a sum over
     # the training set, never the full fit minus the own fold
-    resid, valid = _residuals(view, float(h), kernel, np.arange(view.n_obs), fold=obs_fold)
-    err = resid[valid]
-    excluded_fraction = (view.n_obs - err.size) / view.n_obs
-    if excluded_fraction > MAX_EXCLUDED_FRACTION or not err.size:
-        return math.inf, excluded_fraction
-    return math.fsum(err * err) / err.size, excluded_fraction
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
+        resid, valid = _residuals(view, h, kernel, np.arange(view.n_obs), fold=obs_fold)
+        err = resid[valid]
+        excluded_fraction = (view.n_obs - err.size) / view.n_obs
+        if excluded_fraction > MAX_EXCLUDED_FRACTION or not err.size:
+            return math.inf, excluded_fraction
+        sq = err * err
+    try:
+        score = math.fsum(sq) / err.size
+    except OverflowError:  # finite squares whose sum exceeds the float range
+        score = math.inf
+    if not math.isfinite(score):
+        raise ValueError(f"the CV score overflows at bandwidth h={h!r}: "
+                         "the responses are too large")
+    return score, excluded_fraction
 
 
 def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:

@@ -21,6 +21,8 @@ from .engine import STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, STATUSES, View, so
 from .errors import NumericalError
 from .kernel import DEFAULT_KERNEL, Kernel
 
+_TINY = np.finfo(float).tiny  # a score Gram diagonal below this has underflowed
+
 
 class FitError(NumericalError):
     """A pointwise fit could not be produced (no support or singular Gram)."""
@@ -98,8 +100,12 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel) -> list[FitPoin
             idx, w = weights[i]
             G = np.zeros((view.n_subjects, view.p))
             np.add.at(G, view.subj[idx], (w * eps[idx])[:, None] * view.X[idx])
+            M = G.T @ G
+            if (M.diagonal() < _TINY)[G.any(axis=0)].any():
+                raise ValueError(f"the sandwich variance underflows at bandwidth h={h!r}: "
+                                 "the kernel weights are too small")
             A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
-            V = view.n_subjects * h * h * (A_inv @ (G.T @ G) @ A_inv)
+            V = view.n_subjects * h * h * (A_inv @ M @ A_inv)
             out[i].v_hat = 0.5 * (V + V.T)
             if not np.isfinite(out[i].v_hat).all():
                 raise ValueError(f"the sandwich variance overflows at bandwidth h={h!r}: "

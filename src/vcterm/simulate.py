@@ -7,7 +7,10 @@ adds a decaying-variance correlated component to white noise. Responses
 follow the varying-coefficient model in (visit time, time-to-event).
 
 gen_dataset draws each subject's numbers from its own stream, then maps them
-to covariates, errors and event times on stacks of subjects.
+to covariates, errors and event times on stacks of subjects. Subject i's
+stream is the PCG64 that np.random.default_rng gives child i of the cohort's
+SeedSequence; _child_states derives all of those PCG64 states in one pass,
+and gen_dataset checks its first and last against numpy before drawing.
 """
 
 from __future__ import annotations
@@ -25,6 +28,15 @@ BETA_MODES = ("surfaces", "constant")
 _CLAMP = 1e-12
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 BLOCK_SUBJECTS = 32  # subjects per stacked factorization; bounds the stacks' memory for any n
+
+# numpy's SeedSequence hash constants and PCG64 multiplier, fixed by NumPy's
+# stream-compatibility policy (NEP 19); see _child_states
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's default pool size, which every spawn_stateless child has
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -225,16 +237,100 @@ def _errors(times, z_corr, z_white, config: SimConfig) -> np.ndarray:
             + math.sqrt(config.white_noise_var) * z_white)
 
 
+def _child(seq: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (i,))
+
+
 def spawn_stateless(seq: np.random.SeedSequence, count: int):
     """The first `count` children of a seed sequence, without mutating it.
 
     Unlike SeedSequence.spawn, calling this twice gives the same children,
     so a dataset can be regenerated from the same sequence object.
     """
-    return [
-        np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (i,))
-        for i in range(count)
-    ]
+    return [_child(seq, i) for i in range(count)]
+
+
+def _words(x) -> list:
+    """The uint32 words that SeedSequence reads from an entropy or spawn-key value."""
+    if isinstance(x, (int, np.integer)):
+        x, out = int(x), []
+        while True:  # little-endian; 0 is one word
+            out.append(x & _M32)
+            x >>= 32
+            if not x:
+                return out
+    if isinstance(x, str):
+        return _words(int(x, 16) if x.startswith("0x") else int(x))
+    return [w for v in x for w in _words(v)]
+
+
+def _hash_steps(init: int, mult: int):
+    """SeedSequence's running hash constant: (value, value * mult) per hash."""
+    while True:
+        nxt = init * mult & _M32
+        yield init, nxt
+        init = nxt
+
+
+def _hashmix(v, steps):
+    """SeedSequence's hashmix of a word, an int or a uint64 array of words."""
+    xor, mul = next(steps)
+    v = (v ^ xor) * mul & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _child_states(seq: np.random.SeedSequence, count: int) -> list:
+    """The PCG64 (state, inc) that np.random.default_rng(c) gets for each c in
+    spawn_stateless(seq, count), for count up to 2**32, in one pass.
+
+    Child i's entropy words are the run entropy zero-padded to the pool
+    size, the parent's spawn key, then i. SeedSequence mixes its words in
+    order, so the shared words are mixed once, in ints; the index word and
+    generate_state(4, uint64) run on uint64 arrays of all children, and
+    PCG64's seeding (two LCG steps from state 0, O'Neill 2014) on 128-bit ints.
+    """
+    run = _words(seq.entropy)
+    words = run + [0] * (_POOL - len(run)) + _words(seq.spawn_key)
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, steps) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    for w in words[_POOL:] + [np.arange(count, dtype=np.uint64)]:
+        pool = [_mix(p, _hashmix(w, steps)) for p in pool]
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[j % _POOL], steps) for j in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (out[j] | out[j + 1] << 32).tolist() for j in range(0, 8, 2))
+    states = []
+    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        states.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _child_rngs(seq: np.random.SeedSequence, count: int):
+    """Yield np.random.default_rng(c) for each c in spawn_stateless(seq, count),
+    as one Generator reloaded with each child's state from _child_states.
+    RuntimeError if the first or last state differs from numpy's own seeding."""
+    states = _child_states(seq, count)
+    for i in (0, count - 1):
+        bitgen = np.random.PCG64(_child(seq, i))
+        want = bitgen.state["state"]
+        if (want["state"], want["inc"]) != states[i]:
+            raise RuntimeError(f"the derived PCG64 state of subject {i} differs from numpy's")
+    rng = np.random.Generator(bitgen)
+    for state, inc in states:
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def gen_dataset(config: SimConfig,
@@ -247,15 +343,15 @@ def gen_dataset(config: SimConfig,
     order is fixed: visit times, covariate normals, event and censoring
     uniforms, error normals. The loop over subjects only draws; the
     covariance algebra then runs on stacks of BLOCK_SUBJECTS subjects, which
-    gives every subject the bits it would get on its own.
+    gives every subject the bits it would get on its own. RuntimeError if
+    the first or last subject's derived stream state differs from numpy's.
     """
     ss = np.random.SeedSequence(config.seed) if seed_seq is None else seed_seq
     n, m = config.n, config.m
     taus = np.empty((n, m))
     z_cov, uniforms = np.empty((n, m + 2)), np.empty((n, 2))
     z_err = np.empty((n, 2 * m))  # z_corr, then z_white; unused under zero_errors
-    for i, child in enumerate(spawn_stateless(ss, n)):
-        rng = np.random.default_rng(child)
+    for i, rng in enumerate(_child_rngs(ss, n)):
         taus[i] = gen_visit_times(rng, m, config.nu)
         rng.standard_normal(out=z_cov[i])
         rng.random(out=uniforms[i])  # the same bits as rng.uniform(size=2)

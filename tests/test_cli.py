@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import threading
 import warnings
 import xml.etree.ElementTree as ET
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from vcterm import fit_grid, gen_dataset, local_fit
+from vcterm.bandwidth import cv_score, make_folds
 from vcterm.cli import build_parser, main
+from vcterm.fit import standard_errors
 from vcterm.io import write_dataset_csv
 from vcterm.simulate import SimConfig
 
@@ -456,6 +459,45 @@ def test_responses_whose_fit_overflows_are_rejected(tmp_path, capsys, y, what):
     assert out == ""
     err_line = json.loads(err.splitlines()[-1])
     assert err_line["code"] == 2 and err_line["error"].startswith(message)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cv_score_that_overflows_is_rejected(tmp_path, capsys):
+    data, _ = gen_dataset(SimConfig(n=80, seed=5))
+    data.responses[:] = 1e300
+    folds = make_folds(data, 5, 0)
+    for h in (2, 4):
+        with pytest.raises(ValueError, match=f"^the CV score overflows at bandwidth h={h}.0: "):
+            cv_score(data, folds, h)
+    path = str(tmp_path / "huge.csv")
+    write_dataset_csv(data, path)
+    assert main(["cv", "--data", path, "--h-grid", "2,4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "the CV score overflows at bandwidth h=2.0: the responses are too large",
+        "code": 2}
+
+
+@pytest.mark.filterwarnings("error")
+def test_sandwich_that_underflows_is_rejected(tmp_path, capsys):
+    data, _ = gen_dataset(SimConfig(n=80, seed=5))
+    se = standard_errors(local_fit(data, 2.0, 6.0, 1e3), data.n_complete_case)
+    assert (se > 0.1).all()
+    message = "the sandwich variance underflows at bandwidth h=1e+100: "
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        local_fit(data, 2.0, 6.0, 1e100)
+    path = str(tmp_path / "cohort.csv")
+    write_dataset_csv(data, path)
+    assert main(["fit", "--data", path, "--t0", "2", "--s0", "6", "--h", "1e100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err_line = json.loads(err.splitlines()[-1])
+    assert err_line["code"] == 2 and err_line["error"].startswith(message)
+    # exactly zero residuals give a zero score, not an underflow
+    data.responses[:] = 0.0
+    fp = local_fit(data, 2.0, 6.0, 1e100)
+    assert fp.status == "ok" and not standard_errors(fp, data.n_complete_case).any()
 
 
 def test_fit_target_far_outside_the_data_is_empty_support(noiseless_csv, capsys):

@@ -281,9 +281,43 @@ def test_gen_dataset_matches_reference_generator(case, block, monkeypatch):
 
 def test_gen_dataset_matches_reference_with_explicit_seed_seq():
     cfg = SimConfig(n=BLOCK + 5, seed=0, p=2)
-    seq = np.random.SeedSequence(2024, spawn_key=(3, 1))
-    assert _cohort_bits(*gen_dataset(cfg, seed_seq=seq)) == \
-        _cohort_bits(*oracles.reference_gen_dataset(cfg, seed_seq=seq))
+    for seq in (np.random.SeedSequence(2024, spawn_key=(3, 1)),
+                np.random.SeedSequence(2**128 - 1, spawn_key=(1, 2)),
+                np.random.SeedSequence([1, 2, 3, 4, 5, 6]),
+                np.random.SeedSequence(np.array([7, 8], dtype=np.uint32), spawn_key=(3,),
+                                       pool_size=8)):
+        assert _cohort_bits(*gen_dataset(cfg, seed_seq=seq)) == \
+            _cohort_bits(*oracles.reference_gen_dataset(cfg, seed_seq=seq))
+
+
+@pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1,
+                                     [1, 2, 3, 4, 5, 6], np.array([7, 8], dtype=np.uint32),
+                                     ["0x10", "7"]],
+                         ids=["0", "1", "2^32-1", "2^32", "2^64+5", "2^128-1", "list6",
+                              "uint32x2", "strings"])
+def test_child_states_match_numpy_seeding(entropy):
+    for spawn_key in ((), (3,), (1, 2)):
+        for pool_size in (4, 8):
+            seq = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+            for count in (0, 1, 33):
+                want = [np.random.PCG64(c).state["state"] for c in spawn_stateless(seq, count)]
+                got = simulate._child_states(seq, count)
+                assert got == [(w["state"], w["inc"]) for w in want]
+
+
+@pytest.mark.parametrize("subject", [0, 4])
+def test_gen_dataset_rejects_a_derived_state_that_differs_from_numpy(subject, monkeypatch):
+    derive = simulate._child_states
+
+    def tampered(seq, count):
+        states = derive(seq, count)
+        state, inc = states[subject]
+        states[subject] = (state ^ 1, inc)
+        return states
+
+    monkeypatch.setattr(simulate, "_child_states", tampered)
+    with pytest.raises(RuntimeError, match=f"PCG64 state of subject {subject} differs"):
+        gen_dataset(SimConfig(n=5, seed=3))
 
 
 def test_gen_dataset_truth_consistency():

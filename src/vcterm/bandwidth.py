@@ -17,7 +17,7 @@ from .data import Dataset
 from .errors import NumericalError
 from .engine import View
 from .fit import _residuals
-from .kernel import DEFAULT_KERNEL, Kernel
+from .kernel import DEFAULT_KERNEL
 
 DEFAULT_GAMMA = 1.0 / 20.0
 DEFAULT_FOLDS = 5
@@ -66,8 +66,7 @@ def make_folds(data: Dataset, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(k=k, assignment=dict(assignment), seed=int(seed))
 
 
-def cv_score(data: Dataset, folds: FoldAssignment, h: float,
-             kernel: Kernel = DEFAULT_KERNEL) -> tuple[float, float]:
+def cv_score(data: Dataset, folds: FoldAssignment, h: float) -> tuple[float, float]:
     """(score, excluded_fraction) for one bandwidth.
 
     Held-out observations whose fit on the training folds fails are excluded
@@ -82,7 +81,7 @@ def cv_score(data: Dataset, folds: FoldAssignment, h: float,
     # each held-out fit weighs only the other folds' observations: a sum over
     # the training set, never the full fit minus the own fold
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
-        resid, valid = _residuals(view, h, kernel, np.arange(view.n_obs), fold=obs_fold)
+        resid, valid = _residuals(view, h, DEFAULT_KERNEL, np.arange(view.n_obs), fold=obs_fold)
         err = resid[valid]
         excluded_fraction = (view.n_obs - err.size) / view.n_obs
         if excluded_fraction > MAX_EXCLUDED_FRACTION or not err.size:
@@ -111,8 +110,7 @@ def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:
 
 
 def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
-                     seed: int = 0, gamma: float = DEFAULT_GAMMA,
-                     kernel: Kernel = DEFAULT_KERNEL) -> CVResult:
+                     seed: int = 0, gamma: float = DEFAULT_GAMMA) -> CVResult:
     """Grid-search CV; ties break to the smaller bandwidth.
 
     The undersmoothing factor uses the full cohort size (censored subjects
@@ -125,7 +123,7 @@ def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
         raise ValueError("all candidate bandwidths must be positive")
     folds = make_folds(data, k, seed)
     factor = undersmoothing_factor(data.n_subjects, gamma)
-    pairs = [cv_score(data, folds, h, kernel) for h in grid]
+    pairs = [cv_score(data, folds, h) for h in grid]
     scores, excluded = map(tuple, zip(*pairs))
 
     best_h = None

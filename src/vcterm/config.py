@@ -2,7 +2,8 @@
 
 Lines starting with # are comments. Unknown keys are rejected so typos
 fail loudly. List values are comma separated; grid points use `t:s`
-pairs separated by semicolons.
+pairs separated by semicolons. One table, `_KEYS`, names each key's
+section (sim, study, grid or cv), field and parser.
 """
 
 from __future__ import annotations
@@ -88,58 +89,55 @@ def _to_points(key, text):
     return tuple(pts)
 
 
-_SIM_KEYS = {
-    "n": _to_int,
-    "m": _to_int,
-    "p": _to_int,
-    "nu": _to_float,
-    "seed": _to_int,
-    "event_coefs": _to_floats,
-    "censor_coefs": _to_floats,
-    "truncation": _to_float,
-    "shift": _to_float,
-    "error_var_params": _to_floats,
-    "error_corr_base": _to_float,
-    "white_noise_var": _to_float,
-    "zero_errors": _to_bool,
-    "beta_mode": lambda k, t: t,
-    "constant_beta": _to_floats,
+def _to_text(key, text):
+    return text
+
+
+_KEYS = {  # key -> (section, field, parser); sections: sim, study, grid, cv
+    "n": ("sim", "n", _to_int),
+    "m": ("sim", "m", _to_int),
+    "p": ("sim", "p", _to_int),
+    "nu": ("sim", "nu", _to_float),
+    "seed": ("sim", "seed", _to_int),
+    "event_coefs": ("sim", "event_coefs", _to_floats),
+    "censor_coefs": ("sim", "censor_coefs", _to_floats),
+    "truncation": ("sim", "truncation", _to_float),
+    "shift": ("sim", "shift", _to_float),
+    "error_var_params": ("sim", "error_var_params", _to_floats),
+    "error_corr_base": ("sim", "error_corr_base", _to_float),
+    "white_noise_var": ("sim", "white_noise_var", _to_float),
+    "zero_errors": ("sim", "zero_errors", _to_bool),
+    "beta_mode": ("sim", "beta_mode", _to_text),
+    "constant_beta": ("sim", "constant_beta", _to_floats),
+    "replications": ("study", "replications", _to_int),
+    "h_policy": ("study", "h_policy", _to_text),
+    "h_fixed": ("study", "h_fixed", _to_float),
+    "gamma": ("study", "gamma", _to_float),
+    "alpha": ("study", "alpha", _to_float),
+    "grid": ("grid", "kind", _to_text),
+    "slice_T": ("grid", "slice_T", _to_floats),
+    "slice_t_step": ("grid", "slice_t_step", _to_float),
+    "rect_t": ("grid", "rect_t", _to_floats),
+    "rect_s": ("grid", "rect_s", _to_floats),
+    "points": ("grid", "points", _to_points),
+    "cv_h_grid": ("cv", "h_grid", _to_floats),
+    "cv_folds": ("cv", "folds", _to_int),
+    "cv_seed": ("cv", "seed", _to_int),
 }
 
-_STUDY_KEYS = {
-    "replications": _to_int,
-    "h_policy": lambda k, t: t,
-    "h_fixed": _to_float,
-    "gamma": _to_float,
-    "alpha": _to_float,
-    "grid": lambda k, t: t,
-    "slice_T": _to_floats,
-    "slice_t_step": _to_float,
-    "rect_t": _to_floats,
-    "rect_s": _to_floats,
-    "points": _to_points,
-    "cv_h_grid": _to_floats,
-    "cv_folds": _to_int,
-    "cv_seed": _to_int,
-}
 
-
-def _convert(mapping: dict[str, str], allowed: dict) -> dict:
-    out = {}
-    for key, text in mapping.items():
-        if key not in allowed:
+def _parse(mapping: dict[str, str]) -> dict[str, dict]:
+    """Values by section and field; raises at an unknown key or bad value, study keys first."""
+    values = {"sim": {}, "study": {}, "grid": {}, "cv": {}}
+    for key in sorted(mapping, key=lambda k: _KEYS.get(k, ("",))[0] == "sim"):
+        if key not in _KEYS:
             raise DataError(f"unknown config key {key!r}")
-        out[key] = allowed[key](key, text)
-    return out
+        section, name, parse = _KEYS[key]
+        values[section][name] = parse(key, mapping[key])
+    return values
 
 
-def sim_config_from_mapping(mapping: dict[str, str], seed_override: int | None = None
-                            ) -> SimConfig:
-    """Build a SimConfig; study-level keys are tolerated and ignored."""
-    sim_only = {k: v for k, v in mapping.items() if k in _SIM_KEYS}
-    rest = {k: v for k, v in mapping.items() if k not in _SIM_KEYS}
-    _convert(rest, _STUDY_KEYS)  # validates that leftovers are study keys
-    values = _convert(sim_only, _SIM_KEYS)
+def _sim_config(values: dict, seed_override: int | None) -> SimConfig:
     if "n" not in values:
         raise DataError("config is missing required key 'n'")
     if seed_override is not None:
@@ -150,28 +148,21 @@ def sim_config_from_mapping(mapping: dict[str, str], seed_override: int | None =
         raise DataError(f"invalid simulation config: {exc}") from exc
 
 
+def sim_config_from_mapping(mapping: dict[str, str], seed_override: int | None = None
+                            ) -> SimConfig:
+    """Build a SimConfig; study-level keys are checked and ignored."""
+    return _sim_config(_parse(mapping)["sim"], seed_override)
+
+
 def study_config_from_mapping(mapping: dict[str, str], seed_override: int | None = None
                               ) -> StudyConfig:
-    sim = sim_config_from_mapping(mapping, seed_override=seed_override)
-    values = _convert({k: v for k, v in mapping.items() if k in _STUDY_KEYS},
-                      _STUDY_KEYS)
-    if "replications" not in values:
+    values = _parse(mapping)
+    sim = _sim_config(values["sim"], seed_override)
+    if "replications" not in values["study"]:
         raise DataError("study config is missing required key 'replications'")
-
-    grid_kwargs = {key: values.pop(key) for key in
-                   ("slice_T", "slice_t_step", "rect_t", "rect_s", "points") if key in values}
-    grid_kwargs["kind"] = values.pop("grid", "slices")
-    cv_kwargs = {}
-    if "cv_h_grid" in values:
-        cv_kwargs["h_grid"] = values.pop("cv_h_grid")
-    if "cv_folds" in values:
-        cv_kwargs["folds"] = values.pop("cv_folds")
-    if "cv_seed" in values:
-        cv_kwargs["seed"] = values.pop("cv_seed")
     try:
-        grid = GridSpec(**grid_kwargs)
-        cv = CvSettings(**cv_kwargs)
-        return StudyConfig(sim=sim, grid=grid, cv=cv, **values)
+        return StudyConfig(sim=sim, grid=GridSpec(**values["grid"]),
+                           cv=CvSettings(**values["cv"]), **values["study"])
     except ValueError as exc:
         raise DataError(f"invalid study config: {exc}") from exc
 

@@ -3,7 +3,8 @@
 A study draws R independent cohorts, fits the model with variance on a
 fixed evaluation grid, and aggregates bias, spread, estimated standard
 errors, and confidence-interval coverage per grid point and coefficient.
-Per-replication rows are persisted append-only so a crashed study resumes.
+Per-replication rows are persisted append-only so a crashed study resumes;
+a partial file with no finished replication restarts. Studies use the default kernel.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, select_bandwidth
 from .data import Dataset
 from .engine import check_bandwidth
 from .errors import DataError
-from .fit import (DEFAULT_KERNEL, STATUS_OK, STATUSES, Kernel, fit_grid, normal_quantile,
+from .fit import (DEFAULT_KERNEL, STATUS_OK, STATUSES, fit_grid, normal_quantile,
                   standard_errors)
-from .io import fmt_cell, write_table
+from .io import fmt_cell, write_rows, write_table
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
 H_POLICIES = ("fixed", "cv-once", "cv-per-rep")
@@ -154,9 +155,10 @@ def replication_seed_sequences(seed: int, replications: int):
     return spawn_stateless(np.random.SeedSequence(seed), replications)
 
 
-def study_fingerprint(config: StudyConfig, kernel: Kernel = DEFAULT_KERNEL) -> str:
-    """Hash identifying a study's configuration and kernel."""
-    return hashlib.sha256(repr((config, kernel)).encode()).hexdigest()[:16]
+def study_fingerprint(config: StudyConfig) -> str:
+    """Hash identifying a study's configuration; the kernel every study fits
+    with is hashed too, so fingerprints match those of files written before."""
+    return hashlib.sha256(repr((config, DEFAULT_KERNEL)).encode()).hexdigest()[:16]
 
 
 def truth_matrix(sim: SimConfig, points) -> np.ndarray:
@@ -166,15 +168,15 @@ def truth_matrix(sim: SimConfig, points) -> np.ndarray:
 
 
 def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
-                     kernel: Kernel, points, ds: Dataset | None = None) -> RepRecord:
+                     points, ds: Dataset | None = None) -> RepRecord:
     """One replication on its cohort ds, generated from seed_seq when not given."""
     ds = gen_dataset(config.sim, seed_seq=seed_seq)[0] if ds is None else ds
     if h is None:
         cv = select_bandwidth(ds, h_grid=config.cv.h_grid, k=config.cv.folds,
-                              seed=config.cv.seed, gamma=config.gamma, kernel=kernel)
+                              seed=config.cv.seed, gamma=config.gamma)
         h = cv.h_undersmoothed
     n_cc = ds.n_complete_case
-    fits = fit_grid(ds, points, h, kernel)
+    fits = fit_grid(ds, points, h)
     G, p = len(points), config.sim.p
     est = np.full((G, p), np.nan)
     se = np.full((G, p), np.nan)
@@ -188,13 +190,9 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
 
 
 def _record_rows(record: RepRecord, points):
-    def cell(v):
-        return v if math.isfinite(v) else None
-
     G, p = record.estimate.shape
     return [(record.rep, g, points[g][0], points[g][1], k + 1, record.h,
-             cell(record.estimate[g, k]), cell(record.se[g, k]),
-             STATUSES[record.status[g]])
+             record.estimate[g, k], record.se[g, k], STATUSES[record.status[g]])
             for g in range(G) for k in range(p)]
 
 
@@ -202,10 +200,8 @@ _RECORD_HEADER = ("rep", "point", "t", "s", "coef", "h", "estimate", "se", "stat
 
 
 def _append_partial(path: str, rows):
-    text = "".join(",".join(fmt_cell(v) for v in row) + "\n" for row in rows)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
+        write_rows(fh, rows)
 
 
 def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepRecord]:
@@ -294,7 +290,7 @@ def aggregate_records(config: StudyConfig, points, truth, records) -> StudyResul
 
 
 def run_study(config: StudyConfig, out_dir: str | None = None,
-              resume: bool = True, kernel: Kernel = DEFAULT_KERNEL) -> StudyResult:
+              resume: bool = True) -> StudyResult:
     """Run (or resume) a replication study, one replication after another.
 
     Each finished replication's rows are appended to the partial records
@@ -308,7 +304,7 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
     truth = truth_matrix(config.sim, points)
     R = config.replications
     seqs = replication_seed_sequences(config.sim.seed, R)
-    fingerprint = study_fingerprint(config, kernel)
+    fingerprint = study_fingerprint(config)
 
     cv_result = ds0 = None
     h0: float | None = None
@@ -317,10 +313,8 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
     elif config.h_policy == "cv-once":
         # the selection cohort is replication 0's cohort, which fits on it too
         ds0, _ = gen_dataset(config.sim, seed_seq=seqs[0])
-        cv_result = select_bandwidth(
-            ds0, h_grid=config.cv.h_grid, k=config.cv.folds, seed=config.cv.seed,
-            gamma=config.gamma, kernel=kernel,
-        )
+        cv_result = select_bandwidth(ds0, h_grid=config.cv.h_grid, k=config.cv.folds,
+                                     seed=config.cv.seed, gamma=config.gamma)
         h0 = cv_result.h_undersmoothed
 
     done: dict[int, RepRecord] = {}
@@ -330,30 +324,24 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
         partial_path = os.path.join(out_dir, PARTIAL_RECORDS)
         if resume:
             done = _load_partial(partial_path, fingerprint, len(points), config.sim.p)
-        elif os.path.exists(partial_path):
-            os.remove(partial_path)
-        if not os.path.exists(partial_path):
-            with open(partial_path, "w", encoding="utf-8") as fh:
-                fh.write(f"# fingerprint={fingerprint}\n")
-                fh.write(",".join(_RECORD_HEADER) + "\n")
+        if not done:  # nothing worth keeping: start the file afresh, whatever it held
+            _write_table(partial_path, {"fingerprint": fingerprint}, _RECORD_HEADER, ())
 
     for rep in range(R):
         if rep in done:
             continue
-        done[rep] = _run_replication(config, rep, seqs[rep], h0, kernel, points,
+        done[rep] = _run_replication(config, rep, seqs[rep], h0, points,
                                      ds0 if rep == 0 else None)
         if partial_path is not None:
             _append_partial(partial_path, _record_rows(done[rep], points))
 
-    result = aggregate_records(config, points, truth,
-                               [done[r] for r in range(R)])
+    result = aggregate_records(config, points, truth, [done[r] for r in range(R)])
     result.cv = cv_result
     if out_dir is not None:
-        write_study_artifacts(result, out_dir, kernel)
+        write_study_artifacts(result, out_dir)
         # the scratch file only matters for crash recovery; removing it keeps
         # the finished directory identical across fresh and resumed runs
-        if partial_path is not None and os.path.exists(partial_path):
-            os.remove(partial_path)
+        os.remove(partial_path)
     return result
 
 
@@ -462,32 +450,24 @@ def _write_table(path: str, meta: dict, header, rows):
         write_table(fh, meta, header, rows)
 
 
-def _nan_none(x: float):
-    return None if math.isnan(x) else float(x)
-
-
-def write_study_artifacts(result: StudyResult, out_dir: str,
-                          kernel: Kernel = DEFAULT_KERNEL):
-    """summary.csv, sorted records.csv, metadata.json, and per-grid extras."""
+def write_study_artifacts(result: StudyResult, out_dir: str):
+    """summary.csv, records.csv in replication order, metadata.json, and per-grid extras."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
-    fingerprint = study_fingerprint(cfg, kernel)
+    fingerprint = study_fingerprint(cfg)
     meta = {"fingerprint": fingerprint, "replications": cfg.replications,
             "alpha": fmt_cell(cfg.alpha), "h_policy": cfg.h_policy}
 
     G, p = result.truth.shape
     rows = [(g, float(result.points[g, 0]), float(result.points[g, 1]), k + 1,
-             float(result.truth[g, k]), *(_nan_none(a[g, k]) for a in (
+             float(result.truth[g, k]), *(a[g, k] for a in (
                  result.mean_estimate, result.bias, result.emp_sd, result.mean_se,
                  result.coverage, result.coverage_mc_se)), int(result.valid[g]))
             for g in range(G) for k in range(p)]
     _write_table(os.path.join(out_dir, SUMMARY_FILE), meta, _SUMMARY_HEADER, rows)
 
     points = [(float(t), float(s)) for t, s in result.points]
-    record_rows = []
-    for record in result.records:
-        record_rows.extend(_record_rows(record, points))
-    record_rows.sort(key=lambda r: (r[0], r[1], r[4]))
+    record_rows = [row for record in result.records for row in _record_rows(record, points)]
     _write_table(os.path.join(out_dir, RECORDS_FILE),
                  {"fingerprint": fingerprint}, _RECORD_HEADER, record_rows)
 
@@ -502,9 +482,7 @@ def write_study_artifacts(result: StudyResult, out_dir: str,
             table = slice_summary(result, float(T))
             _write_table(os.path.join(out_dir, slice_stem(T) + ".csv"),
                          {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
-                         _SLICE_HEADER,
-                         [tuple(_nan_none(v) if isinstance(v, float) else v for v in row)
-                          for row in table.rows()])
+                         _SLICE_HEADER, table.rows())
 
     cv_meta = None
     if result.cv is not None:

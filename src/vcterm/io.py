@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -251,13 +252,14 @@ def load_csv(path: str, transform: str = "none") -> tuple[Dataset, IngestionRepo
 
 
 def fmt_cell(v) -> str:
-    """A CSV cell: empty for None, 1/0 for a bool, 17 significant digits for a float."""
+    """A CSV cell: empty for None and for a NaN or infinite float (a missing
+    value), 1/0 for a bool, 17 significant digits for any other float."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (float, np.floating)):
-        return _FLOAT_FMT % float(v)
+        return _FLOAT_FMT % v if math.isfinite(v) else ""
     return str(v)
 
 
@@ -305,13 +307,17 @@ def write_truth_csv(truths, path: str):
                             tr.censor_time, tr.event_observed))
 
 
+def write_rows(stream, rows):
+    """CSV lines of rows, each cell through fmt_cell, in one write."""
+    stream.write("".join(",".join(map(fmt_cell, row)) + "\n" for row in rows))
+
+
 def write_table(stream, meta: dict, header, rows):
     """CSV with `# key=value` comment lines first, as read_table reads it."""
     for key in sorted(meta):
         stream.write(f"# {key}={meta[key]}\n")
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(fmt_cell(v) for v in row) + "\n")
+    write_rows(stream, rows)
 
 
 def read_table(path: str) -> tuple[dict, list[str], list[dict]]:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import vcterm.io as vcterm_io
 from vcterm import DataError, Dataset, SimConfig, gen_dataset
-from vcterm.io import (TRANSFORMS, IngestionReport, apply_transform, load_csv, read_table,
-                       write_dataset_csv, write_truth_csv)
+from vcterm.io import (TRANSFORMS, IngestionReport, apply_transform, fmt_cell, load_csv,
+                       read_table, write_dataset_csv, write_truth_csv)
 from vcterm.simulate import TruthRecord
 
 import oracles
@@ -198,6 +198,16 @@ def test_read_table_meta_and_rows(tmp_path):
     empty.write_text("# only=meta\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_table(str(empty))
+
+
+def test_fmt_cell_writes_missing_values_empty():
+    for x in (np.nan, np.inf, -np.inf):
+        assert fmt_cell(float(x)) == ""
+        assert fmt_cell(np.float64(x)) == ""
+    assert fmt_cell(None) == ""
+    assert fmt_cell(True) == "1"
+    assert fmt_cell(0.1) == "0.10000000000000001"
+    assert fmt_cell(1) == "1"
 
 
 def test_load_csv_missing_file():

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .engine import View
+from .engine import View, check_bandwidth
 from .fit import _residuals
 from .kernel import DEFAULT_KERNEL
 
@@ -109,6 +109,17 @@ def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:
     return factor
 
 
+def candidate_grid(h_grid=None) -> tuple:
+    """The candidate bandwidths as floats, DEFAULT_H_GRID for None; ValueError
+    unless there is one and each passes engine.check_bandwidth."""
+    grid = tuple(float(h) for h in (DEFAULT_H_GRID if h_grid is None else h_grid))
+    if not grid:
+        raise ValueError("h_grid must be nonempty")
+    for h in grid:
+        check_bandwidth(h, DEFAULT_KERNEL)
+    return grid
+
+
 def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
                      seed: int = 0, gamma: float = DEFAULT_GAMMA) -> CVResult:
     """Grid-search CV; ties break to the smaller bandwidth.
@@ -116,11 +127,7 @@ def select_bandwidth(data: Dataset, h_grid=None, k: int = DEFAULT_FOLDS,
     The undersmoothing factor uses the full cohort size (censored subjects
     included), matching the design the selector is calibrated for.
     """
-    grid = tuple(float(h) for h in (DEFAULT_H_GRID if h_grid is None else h_grid))
-    if not grid:
-        raise ValueError("h_grid must be nonempty")
-    if any(h <= 0 for h in grid):
-        raise ValueError("all candidate bandwidths must be positive")
+    grid = candidate_grid(h_grid)  # every candidate is checked before the first CV pass
     folds = make_folds(data, k, seed)
     factor = undersmoothing_factor(data.n_subjects, gamma)
     pairs = [cv_score(data, folds, h) for h in grid]

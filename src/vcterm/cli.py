@@ -138,34 +138,31 @@ def _need_complete_cases(dataset: Dataset):
         raise DataError("no complete-case subjects: every follow-up is censored")
 
 
-def _emit_rows(fmt: str, header, rows, meta: dict, stream=None):
-    stream = stream or sys.stdout
+def _emit_rows(fmt: str, header, rows, meta: dict):
     if fmt == "json":
         payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
-        # dumps takes the C encoder; dump would encode chunk by chunk in Python
-        stream.write(json.dumps(payload, sort_keys=True) + "\n")
+        sys.stdout.write(iomod.json_text(payload) + "\n")
     else:
-        iomod.write_table(stream, meta, header, rows)
+        iomod.write_table(sys.stdout, meta, header, rows)
 
 
-def _estimates(fp, n_cc: int, z: float) -> list[tuple]:
+def _estimates(fp, n_cc: int, alpha: float) -> list[tuple]:
     """(estimate, se, lower, upper) per coefficient of a fit with variance."""
-    se = standard_errors(fp, n_cc)
-    ci = confidence_interval(fp, n_cc, se=se, z=z)
-    return list(zip(fp.beta_hat.tolist(), se.tolist(), *ci.T.tolist()))
+    ci = confidence_interval(fp, n_cc, alpha)
+    return list(zip(fp.beta_hat.tolist(), standard_errors(fp, n_cc).tolist(), *ci.T.tolist()))
 
 
 def cmd_fit(args) -> int:
     dataset = _load(args)
     _need_complete_cases(dataset)
-    z = normal_quantile(args.alpha)
+    normal_quantile(args.alpha)  # an invalid alpha fails before the fit
     fp = local_fit(dataset, args.t0, args.s0, args.h)
     if fp.status != STATUS_OK:
         raise NumericalError(
             f"fit at ({args.t0:g}, {args.s0:g}) failed: {fp.status} (n_eff={fp.n_eff})"
         )
     n_cc = dataset.n_complete_case
-    rows = [(k + 1, *est) for k, est in enumerate(_estimates(fp, n_cc, z))]
+    rows = [(k + 1, *est) for k, est in enumerate(_estimates(fp, n_cc, args.alpha))]
     meta = {"t0": fmt_cell(args.t0), "s0": fmt_cell(args.s0), "h": fmt_cell(args.h),
             "alpha": fmt_cell(args.alpha), "n_complete_case": n_cc,
             "n_eff": fp.n_eff, "status": fp.status}
@@ -182,7 +179,8 @@ def cmd_slice(args) -> int:
     _need_complete_cases(dataset)
     if args.svg and not args.out_dir:
         raise DataError("--svg needs --out-dir")
-    n_cc, z = dataset.n_complete_case, normal_quantile(args.alpha)
+    n_cc = dataset.n_complete_case
+    normal_quantile(args.alpha)  # an invalid alpha fails before the fits
     slices = []  # (T, number of points), in --T order
     points = []
     for T in args.T:
@@ -200,8 +198,8 @@ def cmd_slice(args) -> int:
     for T, count in slices:
         rows = []
         for fp in itertools.islice(fits, count):
-            ests = (_estimates(fp, n_cc, z) if fp.status == STATUS_OK
-                    else [(None,) * 4] * dataset.p)
+            ests = (_estimates(fp, n_cc, args.alpha) if fp.status == STATUS_OK
+                    else [(math.nan,) * 4] * dataset.p)
             rows += [(T, fp.t0, fp.s0, k + 1, *est, fp.n_eff, fp.status)
                      for k, est in enumerate(ests)]
         per_slice[T] = rows
@@ -214,8 +212,7 @@ def cmd_slice(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for T, rows in per_slice.items():
         stem = os.path.join(args.out_dir, slice_stem(T))
-        with open(stem + ".csv", "w", encoding="utf-8") as fh:
-            _emit_rows("csv", _SLICE_HEADER, rows, {**meta, "T": fmt_cell(T)}, stream=fh)
+        iomod.save_table(stem + ".csv", {**meta, "T": fmt_cell(T)}, _SLICE_HEADER, rows)
         if args.svg:
             _slice_svg(stem + ".svg", T, rows, dataset.p)
     print(f"wrote {len(per_slice)} slice tables to {args.out_dir}", file=sys.stderr)
@@ -228,9 +225,7 @@ def _slice_svg(path: str, T: float, rows, p: int):
     bands = []
     for k in range(1, p + 1):
         by_t = {r[1]: r for r in rows if r[3] == k}
-        est = [by_t[t][4] if by_t[t][4] is not None else math.nan for t in ts]
-        lo = [by_t[t][6] if by_t[t][6] is not None else math.nan for t in ts]
-        hi = [by_t[t][7] if by_t[t][7] is not None else math.nan for t in ts]
+        est, lo, hi = ([by_t[t][c] for t in ts] for c in (4, 6, 7))
         color = svgmod.PALETTE[(k - 1) % len(svgmod.PALETTE)]
         curves.append((f"b{k}", est, color))
         bands.append((lo, hi, color))
@@ -249,10 +244,7 @@ def cmd_cv(args) -> int:
     seed = 0 if args.seed is None else args.seed
     result = select_bandwidth(dataset, h_grid=h_grid, seed=seed, k=args.folds,
                               gamma=args.gamma)
-    rows = [
-        (h, None if math.isinf(s) else s, e)
-        for h, s, e in zip(result.h_grid, result.scores, result.excluded_fraction)
-    ]
+    rows = list(zip(result.h_grid, result.scores, result.excluded_fraction))
     meta = {"h_selected": fmt_cell(result.h_selected),
             "h_undersmoothed": fmt_cell(result.h_undersmoothed),
             "factor": fmt_cell(result.factor), "gamma": fmt_cell(result.gamma),

@@ -10,21 +10,20 @@ a partial file with no finished replication restarts. Studies use the default ke
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, select_bandwidth,
-                        undersmoothing_factor)
+from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, candidate_grid,
+                        select_bandwidth, undersmoothing_factor)
 from .data import Dataset
 from .engine import check_bandwidth
 from .errors import DataError
 from .fit import (DEFAULT_KERNEL, STATUS_OK, STATUSES, fit_grid, normal_quantile,
                   standard_errors)
-from .io import fmt_cell, write_rows, write_table
+from .io import fmt_cell, json_text, save_table, write_rows
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
 H_POLICIES = ("fixed", "cv-once", "cv-per-rep")
@@ -56,6 +55,9 @@ class GridSpec:
             raise ValueError("rect grid needs rect_t and rect_s values")
         if self.kind == "points" and not self.points:
             raise ValueError("points grid needs explicit points")
+        for name in ("slice_T", "slice_t_step", "rect_t", "rect_s", "points"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     def eval_points(self) -> list[tuple[float, float]]:
         if self.kind == "slices":
@@ -99,8 +101,8 @@ class StudyConfig:
                 check_bandwidth(float(self.h_fixed or 0.0), DEFAULT_KERNEL)
             except ValueError as exc:
                 raise ValueError(f"fixed h_policy needs a positive h_fixed: {exc}") from None
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        candidate_grid(self.cv.h_grid)
+        normal_quantile(self.alpha)
         # n^(-gamma) only grows as n falls, so every drawn cohort passes too
         undersmoothing_factor(self.sim.n, self.gamma)
         points = self.grid.eval_points()
@@ -306,6 +308,11 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
     seqs = replication_seed_sequences(config.sim.seed, R)
     fingerprint = study_fingerprint(config)
 
+    done: dict[int, RepRecord] = {}
+    partial_path = None if out_dir is None else os.path.join(out_dir, PARTIAL_RECORDS)
+    if partial_path is not None and resume:  # a foreign file is refused before any work
+        done = _load_partial(partial_path, fingerprint, len(points), config.sim.p)
+
     cv_result = ds0 = None
     h0: float | None = None
     if config.h_policy == "fixed":
@@ -317,15 +324,9 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
                                      seed=config.cv.seed, gamma=config.gamma)
         h0 = cv_result.h_undersmoothed
 
-    done: dict[int, RepRecord] = {}
-    partial_path = None
-    if out_dir is not None:
+    if partial_path is not None and not done:  # nothing worth keeping: start afresh
         os.makedirs(out_dir, exist_ok=True)
-        partial_path = os.path.join(out_dir, PARTIAL_RECORDS)
-        if resume:
-            done = _load_partial(partial_path, fingerprint, len(points), config.sim.p)
-        if not done:  # nothing worth keeping: start the file afresh, whatever it held
-            _write_table(partial_path, {"fingerprint": fingerprint}, _RECORD_HEADER, ())
+        save_table(partial_path, {"fingerprint": fingerprint}, _RECORD_HEADER, ())
 
     for rep in range(R):
         if rep in done:
@@ -345,23 +346,6 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
     return result
 
 
-@dataclass
-class HeatmapTable:
-    """Coverage of one coefficient on a rectangular grid; NaN marks points
-    with zero valid replications (distinct from zero coverage)."""
-
-    coefficient: int
-    t_values: tuple
-    s_values: tuple
-    coverage: np.ndarray  # (len(s_values), len(t_values))
-    valid: np.ndarray     # same shape, ints
-
-    def rows(self):
-        return [(t, s, None if math.isnan(self.coverage[j, i]) else self.coverage[j, i],
-                 int(self.valid[j, i]))
-                for j, s in enumerate(self.s_values) for i, t in enumerate(self.t_values)]
-
-
 def rect_index(points) -> tuple[tuple, tuple, np.ndarray]:
     """(t values, s values, index), index[j, i] being the position in points of
     (t values[i], s values[j]); ValueError unless the points fill the mesh once each."""
@@ -375,14 +359,14 @@ def rect_index(points) -> tuple[tuple, tuple, np.ndarray]:
     return t_vals, s_vals, index
 
 
-def coverage_heatmap(result: StudyResult, coefficient: int) -> HeatmapTable:
-    """Long-format coverage table for one coefficient; grid must be rectangular."""
+def coverage_heatmap(result: StudyResult, coefficient: int) -> list[tuple]:
+    """(t, s, coverage, valid) rows of one coefficient, t varying fastest; the grid
+    must be rectangular. Coverage is NaN where no replication is valid, not 0."""
     if not 1 <= coefficient <= result.p:
         raise ValueError(f"coefficient must be in 1..{result.p}")
     t_vals, s_vals, index = rect_index(result.points)
-    val = result.valid[index]
-    cov = np.where(val > 0, result.coverage[index, coefficient - 1], np.nan)
-    return HeatmapTable(coefficient, t_vals, s_vals, cov, val)
+    return [(t, s, result.coverage[g, coefficient - 1], int(result.valid[g]))
+            for s, row in zip(s_vals, index.tolist()) for t, g in zip(t_vals, row)]
 
 
 @dataclass
@@ -445,11 +429,6 @@ def slice_stem(T: float) -> str:
     return ("slice_T%g" % float(T)).replace(".", "_")
 
 
-def _write_table(path: str, meta: dict, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        write_table(fh, meta, header, rows)
-
-
 def write_study_artifacts(result: StudyResult, out_dir: str):
     """summary.csv, records.csv in replication order, metadata.json, and per-grid extras."""
     os.makedirs(out_dir, exist_ok=True)
@@ -464,39 +443,32 @@ def write_study_artifacts(result: StudyResult, out_dir: str):
                  result.mean_estimate, result.bias, result.emp_sd, result.mean_se,
                  result.coverage, result.coverage_mc_se)), int(result.valid[g]))
             for g in range(G) for k in range(p)]
-    _write_table(os.path.join(out_dir, SUMMARY_FILE), meta, _SUMMARY_HEADER, rows)
+    save_table(os.path.join(out_dir, SUMMARY_FILE), meta, _SUMMARY_HEADER, rows)
 
     points = [(float(t), float(s)) for t, s in result.points]
     record_rows = [row for record in result.records for row in _record_rows(record, points)]
-    _write_table(os.path.join(out_dir, RECORDS_FILE),
-                 {"fingerprint": fingerprint}, _RECORD_HEADER, record_rows)
+    save_table(os.path.join(out_dir, RECORDS_FILE),
+               {"fingerprint": fingerprint}, _RECORD_HEADER, record_rows)
 
     if cfg.grid.kind == "rect":
         for k in range(1, p + 1):
-            table = coverage_heatmap(result, k)
-            _write_table(os.path.join(out_dir, f"coverage_b{k}.csv"),
-                         {"fingerprint": fingerprint, "coefficient": k},
-                         _HEATMAP_HEADER, table.rows())
+            save_table(os.path.join(out_dir, f"coverage_b{k}.csv"),
+                       {"fingerprint": fingerprint, "coefficient": k},
+                       _HEATMAP_HEADER, coverage_heatmap(result, k))
     if cfg.grid.kind == "slices":
         for T in cfg.grid.slice_T:
             table = slice_summary(result, float(T))
-            _write_table(os.path.join(out_dir, slice_stem(T) + ".csv"),
-                         {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
-                         _SLICE_HEADER, table.rows())
+            save_table(os.path.join(out_dir, slice_stem(T) + ".csv"),
+                       {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
+                       _SLICE_HEADER, table.rows())
 
-    cv_meta = None
-    if result.cv is not None:
-        cv_meta = asdict(result.cv)
-        # infeasible candidates carry +inf scores, which strict JSON lacks
-        cv_meta["scores"] = [s if math.isfinite(s) else None for s in cv_meta["scores"]]
     metadata = {
         "fingerprint": fingerprint,
         "config": asdict(cfg),
         "h_values": list(result.h_values),
-        "cv": cv_meta,
+        "cv": None if result.cv is None else asdict(result.cv),
         "zero_valid_points": result.zero_valid_points,
         "status_codes": dict(enumerate(STATUSES)),
     }
     with open(os.path.join(out_dir, METADATA_FILE), "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json_text(metadata, indent=2) + "\n")

@@ -161,21 +161,18 @@ def normal_quantile(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05,
-                        se: np.ndarray | None = None, z: float | None = None) -> np.ndarray:
+def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05) -> np.ndarray:
     """Pointwise normal intervals beta_k +/- z_{alpha/2} sqrt(V_kk / (n h^2)).
 
-    n must be the complete-case subject count used by the sandwich. Callers
-    that already hold standard_errors(fit, n) or normal_quantile(alpha) pass
-    them as se and z. Returns an array of (lower, upper) rows, one per
-    coefficient.
+    n must be the complete-case subject count used by the sandwich. Returns an
+    array of (lower, upper) rows, one per coefficient.
     """
-    z = normal_quantile(alpha) if z is None else z
+    z = normal_quantile(alpha)
     if fit.status != STATUS_OK:
         raise FitError(fit.status, fit.n_eff)
     if not n > 0:
         raise ValueError("n must be positive")
-    se = standard_errors(fit, n) if se is None else se
+    se = standard_errors(fit, n)
     return np.array([fit.beta_hat - z * se, fit.beta_hat + z * se]).T
 
 

@@ -1,4 +1,4 @@
-"""Long-format CSV ingestion and emission.
+"""Long-format CSV ingestion and emission, and result tables in CSV and JSON.
 
 One row per visit with columns subject_id, visit_time, response,
 followup_end, event_observed, and one x_-prefixed column per non-intercept
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -263,6 +264,21 @@ def fmt_cell(v) -> str:
     return str(v)
 
 
+def json_text(obj, indent: int | None = None) -> str:
+    """Strict JSON with sorted keys, fmt_cell's twin and with it the only writer of
+    missing values: a NaN or infinite float reads null, and allow_nan=False
+    refuses one that slips past."""
+    return json.dumps(_json_value(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
+def _json_value(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {key: _json_value(x) for key, x in v.items()}
+    return [_json_value(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+
 def _id_cell(sid: str) -> str:
     """A subject id as a CSV field. The csv module quotes one that holds , " CR
     or LF (QUOTE_MINIMAL, with CR a line break too, so that a reader keeps the
@@ -318,6 +334,12 @@ def write_table(stream, meta: dict, header, rows):
         stream.write(f"# {key}={meta[key]}\n")
     stream.write(",".join(header) + "\n")
     write_rows(stream, rows)
+
+
+def save_table(path: str, meta: dict, header, rows):
+    """write_table into a new file at path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_table(fh, meta, header, rows)
 
 
 def read_table(path: str) -> tuple[dict, list[str], list[dict]]:

@@ -88,6 +88,10 @@ class SimConfig:
             raise ValueError(f"beta_mode must be one of {BETA_MODES}")
         if len(self.constant_beta) < self.p:
             raise ValueError("constant_beta must provide one value per coefficient")
+        for name in ("event_coefs", "censor_coefs", "truncation", "shift", "error_var_params",
+                     "white_noise_var", "constant_beta"):  # the other floats' ranges are finite
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,17 @@ def test_unusable_gamma_fails_before_the_cv_passes(monkeypatch, gamma):
         select_bandwidth(data, h_grid=(3.0, 4.0), k=2, seed=0, gamma=gamma)
 
 
+@pytest.mark.parametrize("bad", [math.inf, 0.0, 1e-160])
+def test_unusable_candidate_fails_before_the_cv_passes(monkeypatch, bad):
+    rng = np.random.default_rng(31)
+    data = oracles.make_tiny_dataset(rng, 16, 2)
+    calls = []
+    monkeypatch.setattr(bw, "cv_score", lambda *a, **k: calls.append(a) or (1.0, 0.0))
+    with pytest.raises(ValueError, match="bandwidth h"):
+        select_bandwidth(data, h_grid=(0.5, 1.0, bad), k=2, seed=0)
+    assert calls == []
+
+
 def test_select_bandwidth_tie_breaks_to_smaller_h(monkeypatch):
     rng = np.random.default_rng(37)
     data = oracles.make_tiny_dataset(rng, 8, 2, all_complete=True)

@@ -135,6 +135,30 @@ def test_fit_json_format(noiseless_csv, capsys):
     assert payload["rows"][0]["coef"] == 1
 
 
+def _strict_json(text: str):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["slice", "--T", "8", "--T", "400", "--t-step", "4", "--h", "3"],
+     ("estimate", "se", "lower", "upper")),
+    (["cv", "--h-grid", "0.05,3", "--folds", "2"], ("score",)),
+])
+def test_missing_values_are_null_in_json_and_empty_in_csv(noiseless_csv, capsys, argv,
+                                                            columns):
+    argv = argv + ["--data", noiseless_csv]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert main(argv) == 0
+    _, _, csv_rows = _parse_table(capsys.readouterr().out)
+    missing = [i for i, r in enumerate(rows) if r[columns[0]] is None]
+    assert missing and len(missing) < len(rows)
+    for i in missing:
+        assert all(rows[i][c] is None and csv_rows[i][c] == "" for c in columns)
+
+
 def test_fit_exit_codes(noiseless_csv, tmp_path, capsys):
     assert main(["fit"]) == 2  # missing required arguments
     capsys.readouterr()
@@ -516,13 +540,24 @@ def test_fit_target_far_outside_the_data_is_empty_support(noiseless_csv, capsys)
     ("h_fixed = 2.5", "h_fixed = 1e200"),
     ("h_fixed = 2.5", "h_fixed = 1e-170"),
     ("h_fixed = 2.5", "h_fixed = 1e-156"),
+    ("h_policy = fixed\nh_fixed = 2.5", "h_policy = cv-once\ncv_h_grid = -1,2"),
+    # a non-finite number; a simulation key fails as an invalid simulation config
+    ("grid = points\npoints = 1:8;2:7\n", "grid = slices\nslice_T = inf\n"),
+    ("grid = points\npoints = 1:8;2:7\n", "grid = rect\nrect_t = inf,1\nrect_s = 4,6\n"),
+    ("points = 1:8;2:7", "points = 1:inf"),
+    ("seed = 6", "seed = 6\ntruncation = inf", "simulation"),
+    ("seed = 6", "seed = 6\nevent_coefs = nan,1,-5", "simulation"),
+    ("seed = 6", "seed = 6\nshift = inf", "simulation"),
+    ("seed = 6", "seed = 6\nwhite_noise_var = inf", "simulation"),
 ])
 def test_unrunnable_study_config_fails_before_any_output(tmp_path, capsys, change):
+    old, new, *section = change
     cfg = tmp_path / "study.conf"
-    assert change[0] in STUDY_CONFIG
-    cfg.write_text(STUDY_CONFIG.replace(*change), encoding="utf-8")
+    assert old in STUDY_CONFIG
+    cfg.write_text(STUDY_CONFIG.replace(old, new), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["study", "--config", str(cfg), "--out-dir", str(out)]) == 3
     err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err_line["code"] == 3 and "invalid study config" in err_line["error"]
+    assert err_line["code"] == 3
+    assert f"invalid {section[0] if section else 'study'} config" in err_line["error"]
     assert not out.exists()

@@ -237,21 +237,44 @@ def test_run_study_rejects_foreign_partial(tmp_path):
         run_study(cfg, out_dir=str(out), resume=True)
 
 
-def test_unreachable_point_missing_not_zero():
+def test_run_study_refuses_foreign_partial_before_the_cv_selection(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("vcterm.bandwidth.cv_score",
+                        lambda *a, **k: calls.append(a) or (1.0, 0.0))
+    cfg = StudyConfig(sim=SimConfig(n=200, seed=11), replications=2, h_policy="cv-once",
+                      grid=POINTS_GRID, cv=CvSettings(h_grid=(1.0, 2.0), folds=3))
+    out = tmp_path / "out"
+    os.makedirs(out)
+    (out / PARTIAL_RECORDS).write_text("# fingerprint=deadbeefdeadbeef\n", encoding="utf-8")
+    with pytest.raises(DataError, match="different study configuration"):
+        run_study(cfg, out_dir=str(out))
+    assert calls == []
+
+    def failed_score(*args, **kwargs):
+        raise DataError("cv_score failed")
+
+    # a selection that fails still leaves no output directory
+    monkeypatch.setattr("vcterm.bandwidth.cv_score", failed_score)
+    with pytest.raises(DataError, match="cv_score failed"):
+        run_study(cfg, out_dir=str(tmp_path / "fresh"))
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_unreachable_point_missing_not_zero(tmp_path):
     grid = GridSpec(kind="rect", rect_t=(1.0, 50.0), rect_s=(8.0,))
     cfg = _small_study(replications=2, grid=grid)
-    result = run_study(cfg)
+    result = run_study(cfg, out_dir=str(tmp_path))
     assert result.valid.tolist() == [2, 0]
     assert result.zero_valid_points == 1
     assert math.isnan(result.coverage[1, 0])
-    table = coverage_heatmap(result, 1)
-    assert table.valid[0, 0] == 2
-    assert table.valid[0, 1] == 0
-    assert not math.isnan(table.coverage[0, 0])
-    assert math.isnan(table.coverage[0, 1])
-    r = table.rows()
-    assert r[0][2] is not None
-    assert r[1][2] is None
+    rows = coverage_heatmap(result, 1)
+    assert [(t, s, valid) for t, s, _, valid in rows] == [(1.0, 8.0, 2), (50.0, 8.0, 0)]
+    assert not math.isnan(rows[0][2])
+    assert math.isnan(rows[1][2])
+    _, _, cells = read_table(str(tmp_path / "coverage_b1.csv"))
+    assert [c["valid"] for c in cells] == ["2", "0"]
+    assert cells[0]["coverage"] != ""
+    assert cells[1]["coverage"] == ""
 
 
 def test_coverage_heatmap_rejects_non_rectangular():

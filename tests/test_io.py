@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import vcterm.io as vcterm_io
 from vcterm import DataError, Dataset, SimConfig, gen_dataset
-from vcterm.io import (TRANSFORMS, IngestionReport, apply_transform, fmt_cell, load_csv,
-                       read_table, write_dataset_csv, write_truth_csv)
+from vcterm.io import (TRANSFORMS, IngestionReport, apply_transform, fmt_cell, json_text,
+                       load_csv, read_table, write_dataset_csv, write_truth_csv)
 from vcterm.simulate import TruthRecord
 
 import oracles
@@ -208,6 +208,12 @@ def test_fmt_cell_writes_missing_values_empty():
     assert fmt_cell(True) == "1"
     assert fmt_cell(0.1) == "0.10000000000000001"
     assert fmt_cell(1) == "1"
+
+
+def test_json_text_writes_missing_values_null():
+    value = {"b": (0.1, np.nan, [np.inf, np.float64(-np.inf)]), "a": {2: None, 1: "x"}}
+    assert json_text(value) == '{"a": {"1": "x", "2": null}, "b": [0.1, null, [null, null]]}'
+    assert json_text({"k": np.nan}, indent=2) == '{\n  "k": null\n}'
 
 
 def test_load_csv_missing_file():

@@ -23,7 +23,7 @@ from .engine import check_bandwidth
 from .errors import DataError
 from .fit import (DEFAULT_KERNEL, STATUS_OK, STATUSES, fit_grid, normal_quantile,
                   standard_errors)
-from .io import fmt_cell, json_text, save_table, write_rows
+from .io import fmt_cell, json_text, read_cell, save_table, write_rows
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
 H_POLICIES = ("fixed", "cv-once", "cv-per-rep")
@@ -233,7 +233,7 @@ def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepR
             continue
         try:
             rep, g, _, _, k, h, est, se, name = ln.split(",")
-            row = (float(h), float(est or "nan"), float(se or "nan"), STATUSES.index(name))
+            row = (float(h), read_cell(est), read_cell(se), STATUSES.index(name))
             # a rerun of a torn replication repeats its rows with equal values
             by_rep.setdefault(int(rep), {})[(int(g), int(k) - 1)] = row
         except ValueError:

@@ -22,6 +22,7 @@ from .errors import NumericalError
 from .kernel import DEFAULT_KERNEL, Kernel
 
 _TINY = np.finfo(float).tiny  # a score Gram diagonal below this has underflowed
+SANDWICH_CHUNK = 16  # points per batched score sum; bounds its arrays for any grid
 
 
 class FitError(NumericalError):
@@ -93,23 +94,34 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel) -> list[FitPoin
     fits = np.flatnonzero(ok).tolist()
     need = np.zeros(view.n_obs, dtype=bool)
     need[np.concatenate([weights[i][0] for i in fits])] = True
+    n, p = view.n_subjects, view.p
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V raises below
         resid, valid = _residuals(view, h, kernel, np.flatnonzero(need))
         eps = np.where(valid, resid, 0.0)
-        for i in fits:
-            idx, w = weights[i]
-            G = np.zeros((view.n_subjects, view.p))
-            np.add.at(G, view.subj[idx], (w * eps[idx])[:, None] * view.X[idx])
-            M = G.T @ G
-            if (M.diagonal() < _TINY)[G.any(axis=0)].any():
-                raise ValueError(f"the sandwich variance underflows at bandwidth h={h!r}: "
-                                 "the kernel weights are too small")
-            A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
-            V = view.n_subjects * h * h * (A_inv @ M @ A_inv)
-            out[i].v_hat = 0.5 * (V + V.T)
-            if not np.isfinite(out[i].v_hat).all():
+        for lo in range(0, len(fits), SANDWICH_CHUNK):
+            chunk = fits[lo:lo + SANDWICH_CHUNK]
+            idx, w = (np.concatenate(part) for part in zip(*(weights[i] for i in chunk)))
+            # G[c, j]: point chunk[c]'s score of subject j, summed in visit order as for c alone
+            key = np.repeat(np.arange(0, len(chunk) * n, n), [weights[i][0].size for i in chunk])
+            key += view.subj[idx]
+            terms = (w * eps[idx])[:, None] * view.X[idx]
+            G = np.stack([np.bincount(key, x, len(chunk) * n) for x in terms.T], 1)
+            G = G.reshape(-1, n, p)
+            M = G.transpose(0, 2, 1) @ G
+            E = sol.evecs[chunk]
+            A_inv = E @ (E.transpose(0, 2, 1) / sol.evals[chunk][:, :, None])
+            V = n * h * h * (A_inv @ M @ A_inv)
+            V = 0.5 * (V + V.transpose(0, 2, 1))
+            under = ((M.diagonal(axis1=1, axis2=2) < _TINY) & G.any(axis=1)).any(axis=1)
+            bad = under | ~np.isfinite(V).all(axis=(1, 2))
+            if bad.any():  # the first failing point raises, underflow before overflow
+                if under[bad.argmax()]:
+                    raise ValueError(f"the sandwich variance underflows at bandwidth h={h!r}: "
+                                     "the kernel weights are too small")
                 raise ValueError(f"the sandwich variance overflows at bandwidth h={h!r}: "
                                  "the covariates and responses are too large")
+            for i, v in zip(chunk, V):
+                out[i].v_hat = v
     return out
 
 

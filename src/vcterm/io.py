@@ -264,6 +264,11 @@ def fmt_cell(v) -> str:
     return str(v)
 
 
+def read_cell(text: str) -> float:
+    """fmt_cell's reader for a number cell: NaN for an empty one, else float(text)."""
+    return math.nan if text == "" else float(text)
+
+
 def json_text(obj, indent: int | None = None) -> str:
     """Strict JSON with sorted keys, fmt_cell's twin and with it the only writer of
     missing values: a NaN or infinite float reads null, and allow_nan=False

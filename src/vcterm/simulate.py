@@ -74,8 +74,9 @@ class SimConfig:
             raise ValueError("p must be 1, 2, or 3")
         if not 0.0 < self.nu <= 0.5:
             raise ValueError("nu must be in (0, 0.5]")
-        if len(self.event_coefs) != 3 or len(self.censor_coefs) != 3:
-            raise ValueError("event_coefs and censor_coefs must have 3 entries")
+        for name, size in (("event_coefs", 3), ("censor_coefs", 3), ("error_var_params", 2)):
+            if len(getattr(self, name)) != size:
+                raise ValueError(f"{name} must have {size} entries")
         if not self.truncation > 0:
             raise ValueError("truncation must be positive")
         if self.shift < 0:
@@ -137,29 +138,6 @@ def beta_value(config: SimConfig, k: int, x, y):
     return true_beta(k, x, y)
 
 
-def beta_interarrival_params(tau1: float, nu: float) -> tuple[float, float]:
-    """Beta-distribution parameters for the within-year visit offsets."""
-    scale = 4.0 * nu * nu
-    return tau1 / scale, (1.0 - tau1) / scale
-
-
-def gen_visit_times(rng: np.random.Generator, m: int = 20, nu: float = 0.01) -> np.ndarray:
-    """First visit uniform on [0, 1]; visit j sits in year j with a Beta offset
-    centered on the first visit's phase. Output is strictly increasing."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 0.0 < nu <= 0.5:
-        raise ValueError("nu must be in (0, 0.5]")
-    tau1 = float(rng.uniform())
-    tau1 = min(max(tau1, _CLAMP), 1.0 - _CLAMP)
-    times = np.empty(m)
-    times[0] = tau1
-    if m > 1:
-        a, b = beta_interarrival_params(tau1, nu)
-        times[1:] = np.arange(1, m) + rng.beta(a, b, size=m - 1)
-    return times
-
-
 def _chol_with_jitter(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor with escalating diagonal jitter up to 1e-6."""
     dim = sigma.shape[0]
@@ -207,10 +185,6 @@ def covariate_covariance(times) -> np.ndarray:
     return sigma
 
 
-def _rate(coefs, x2: float, x3_0: float) -> float:
-    return math.exp(coefs[0] * x2 + coefs[1] * x3_0 + coefs[2])
-
-
 def trunc_exp_inverse(u: float, rate: float, upper: float) -> float:
     """Inverse CDF of an Exponential(rate) truncated to [0, upper]."""
     return -math.log1p(u * math.expm1(-rate * upper)) / rate
@@ -218,11 +192,20 @@ def trunc_exp_inverse(u: float, rate: float, upper: float) -> float:
 
 def _event_times(u_event: float, u_cens: float, x2: float, x3_0: float,
                  config: SimConfig) -> tuple[float, float]:
-    """(event time, censoring time) in [shift, shift + truncation], from two uniforms."""
-    rate_t = _rate(config.event_coefs, x2, x3_0)
-    rate_c = _rate(config.censor_coefs, x2, x3_0)
-    return (config.shift + trunc_exp_inverse(u_event, rate_t, config.truncation),
-            config.shift + trunc_exp_inverse(u_cens, rate_c, config.truncation))
+    """(event time, censoring time) in [shift, shift + truncation], from two uniforms;
+    NumericalError naming the config key if a rate exp(a*X2 + b*X3(0) + c) is not in (0, inf)."""
+    times = []
+    for u, key in ((u_event, "event_coefs"), (u_cens, "censor_coefs")):
+        a, b, c = getattr(config, key)
+        try:
+            rate = math.exp(a * x2 + b * x3_0 + c)
+        except OverflowError:
+            rate = math.inf
+        if not 0.0 < rate < math.inf:
+            raise NumericalError(f"config key {key}: the rate exp(a*X2 + b*X3(0) + c) is {rate!r} "
+                                 f"at X2={x2!r}, X3(0)={x3_0!r}; the coefficients are too extreme")
+        times.append(config.shift + trunc_exp_inverse(u, rate, config.truncation))
+    return tuple(times)
 
 
 def error_covariance(times, config: SimConfig) -> np.ndarray:
@@ -355,8 +338,11 @@ def gen_dataset(config: SimConfig,
     taus = np.empty((n, m))
     z_cov, uniforms = np.empty((n, m + 2)), np.empty((n, 2))
     z_err = np.empty((n, 2 * m))  # z_corr, then z_white; unused under zero_errors
+    years, scale = np.arange(1.0, m), 4.0 * config.nu * config.nu
     for i, rng in enumerate(_child_rngs(ss, n)):
-        taus[i] = gen_visit_times(rng, m, config.nu)
+        # visit 1 uniform (rng.random() gives rng.uniform()'s bits), visit j in year j
+        tau1 = taus[i, 0] = min(max(rng.random(), _CLAMP), 1.0 - _CLAMP)
+        np.add(years, rng.beta(tau1 / scale, (1.0 - tau1) / scale, size=m - 1), out=taus[i, 1:])
         rng.standard_normal(out=z_cov[i])
         rng.random(out=uniforms[i])  # the same bits as rng.uniform(size=2)
         if not config.zero_errors:

@@ -90,6 +90,50 @@ def dense_sandwich(dataset, t0: float, s0: float, h: float, resid_map: dict
     return n_cc * h * h * (A_inv @ M @ A_inv)
 
 
+def reference_sandwich(dataset, points, h: float, kernel=None) -> list:
+    """The per-point sandwich loop that vcterm.fit._fit_points batched: v_hat of
+    each point (None unless its fit is ok), with one np.add.at per point.
+
+    It shares the engine solve and the residual pass with the library, not
+    the score sums, Gram products and inverses that it checks; fit_grid must
+    give the same v_hat bits and raise the same first error.
+    """
+    from vcterm.engine import View, solve
+    from vcterm.fit import _TINY, _residuals
+    from vcterm.kernel import DEFAULT_KERNEL
+
+    kernel = DEFAULT_KERNEL if kernel is None else kernel
+    view = View(dataset)
+    t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
+    weights = {}
+    sol = solve(view, t0, s0, h, kernel, weights=weights)
+    h = float(h)
+    out = [None] * t0.size
+    fits = np.flatnonzero(sol.status == 0).tolist()
+    if not fits:
+        return out
+    need = np.zeros(view.n_obs, dtype=bool)
+    need[np.concatenate([weights[i][0] for i in fits])] = True
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V raises below
+        resid, valid = _residuals(view, h, kernel, np.flatnonzero(need))
+        eps = np.where(valid, resid, 0.0)
+        for i in fits:
+            idx, w = weights[i]
+            G = np.zeros((view.n_subjects, view.p))
+            np.add.at(G, view.subj[idx], (w * eps[idx])[:, None] * view.X[idx])
+            M = G.T @ G
+            if (M.diagonal() < _TINY)[G.any(axis=0)].any():
+                raise ValueError(f"the sandwich variance underflows at bandwidth h={h!r}: "
+                                 "the kernel weights are too small")
+            A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
+            V = view.n_subjects * h * h * (A_inv @ M @ A_inv)
+            out[i] = 0.5 * (V + V.T)
+            if not np.isfinite(out[i]).all():
+                raise ValueError(f"the sandwich variance overflows at bandwidth h={h!r}: "
+                                 "the covariates and responses are too large")
+    return out
+
+
 def make_tiny_dataset(rng: np.random.Generator, n_subjects: int, p: int,
                       all_complete: bool = False):
     """Small well-posed dataset: visit times in [0, 3], follow-up past the
@@ -371,6 +415,31 @@ def reference_write_truth_csv(truths, path: str):
 # reference cohort generator
 
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+_CLAMP = 1e-12
+
+
+def beta_interarrival_params(tau1: float, nu: float) -> tuple[float, float]:
+    """Beta-distribution parameters for the within-year visit offsets."""
+    scale = 4.0 * nu * nu
+    return tau1 / scale, (1.0 - tau1) / scale
+
+
+def gen_visit_times(rng: np.random.Generator, m: int = 20, nu: float = 0.01) -> np.ndarray:
+    """One subject's visit times, the sampler that gen_dataset's draw loop inlined.
+    First visit uniform on [0, 1]; visit j sits in year j with a Beta offset
+    centered on the first visit's phase. Output is strictly increasing."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if not 0.0 < nu <= 0.5:
+        raise ValueError("nu must be in (0, 0.5]")
+    tau1 = float(rng.uniform())
+    tau1 = min(max(tau1, _CLAMP), 1.0 - _CLAMP)
+    times = np.empty(m)
+    times[0] = tau1
+    if m > 1:
+        a, b = beta_interarrival_params(tau1, nu)
+        times[1:] = np.arange(1, m) + rng.beta(a, b, size=m - 1)
+    return times
 
 
 def _reference_correlate(sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -394,8 +463,7 @@ def reference_gen_dataset(config, seed_seq=None):
     own responses; gen_dataset must give the same Dataset bits and the same
     TruthRecords.
     """
-    from vcterm.simulate import (TruthRecord, _event_times, beta_value, gen_visit_times,
-                                 spawn_stateless)
+    from vcterm.simulate import TruthRecord, _event_times, beta_value, spawn_stateless
 
     ss = np.random.SeedSequence(config.seed) if seed_seq is None else seed_seq
     subjects, truths = [], []

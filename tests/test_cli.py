@@ -108,6 +108,25 @@ def test_simulate_seed_override_changes_data(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("line, code, message", [
+    ("censor_coefs = 1,3,800", 4, "config key censor_coefs: the rate exp(a*X2 + b*X3(0) + c) "
+                                  "is inf at X2="),
+    ("error_var_params = 1", 3, "invalid simulation config: error_var_params must have 2 entries"),
+])
+@pytest.mark.parametrize("sub", ["simulate", "study"])
+def test_config_that_cannot_simulate_exits_with_its_code(tmp_path, capsys, sub, line, code,
+                                                         message):
+    cfg = tmp_path / "sim.conf"
+    cfg.write_text(f"n = 5\nreplications = 1\nh_policy = fixed\nh_fixed = 2\n{line}\n",
+                   encoding="utf-8")
+    out = str(tmp_path / "out")
+    args = ["--out", out] if sub == "simulate" else ["--out-dir", out]
+    assert main([sub, "--config", str(cfg), *args]) == code
+    err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err_line["code"] == code and err_line["error"].startswith(message)
+    assert not os.path.exists(out + "/records.csv") and not os.path.isfile(out)
+
+
 def test_fit_recovers_constant_coefficients(noiseless_csv, capsys):
     rc = main(["fit", "--data", noiseless_csv, "--t0", "1", "--s0", "6",
                "--h", "3"])
@@ -334,6 +353,11 @@ def test_heatmap_renders_svg(tmp_path, capsys):
     assert main(["heatmap", "--coverage", str(bad),
                  "--out", str(tmp_path / "bad.svg")]) == 3
     capsys.readouterr()
+    short = tmp_path / "short.csv"  # a row without its coverage cell is not a missing value
+    short.write_text("t,s,coverage\n1,5,0.9\n1,6\n", encoding="utf-8")
+    assert main(["heatmap", "--coverage", str(short),
+                 "--out", str(tmp_path / "short.svg")]) == 3
+    assert "malformed numeric fields" in capsys.readouterr().err
 
 
 def test_heatmap_rejects_a_repeated_point(tmp_path, capsys):

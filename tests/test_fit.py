@@ -466,3 +466,78 @@ def test_lazy_residuals_bit_equal_with_invalid_residuals():
         assert fp.beta_hat.tobytes() == single.beta_hat.tobytes()
         assert np.isfinite(fp.v_hat).all()
         assert fp.v_hat.tobytes() == single.v_hat.tobytes()
+
+
+def _v_hat_bits(fits):
+    return [None if fp.v_hat is None else fp.v_hat.tobytes() for fp in fits]
+
+
+def _reference_bits(data, grid, h):
+    return [None if v is None else v.tobytes() for v in oracles.reference_sandwich(data, grid, h)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("grid", ["single", "slices", "mixed"])
+def test_fit_grid_v_hat_bit_equal_to_per_point_sandwich(p, grid):
+    from vcterm import SimConfig, gen_dataset
+    from vcterm.experiments import GridSpec
+
+    data, _ = gen_dataset(SimConfig(n=120, p=p, seed=31))
+    points = [(2.0, 6.0)] if grid == "single" else GridSpec().eval_points()
+    if grid == "mixed":
+        # a subject far from the cohort whose visits share one covariate row: at
+        # its visits the Gram matrix has rank 1, singular unless p = 1
+        times = np.array([30.0, 30.1, 30.2, 30.3])
+        far = Subject("far", times, np.tile([1.0, 0.5, -0.5][:p], (4, 1)),
+                      np.arange(4.0), 36.0, True)
+        data = Dataset([*data.subjects, far], p=p)
+        points = points[:10] + [(50.0, 1.0), (30.1, 5.9)] + points[10:]
+    fits = fit_grid(data, points, 1.0)
+    assert _v_hat_bits(fits) == _reference_bits(data, points, 1.0)
+    statuses = [fp.status for fp in fits]
+    if grid != "single":
+        assert len(points) > fit_module.SANDWICH_CHUNK
+    if grid == "mixed":
+        assert statuses[10:12] == [STATUS_EMPTY, STATUS_SINGULAR if p > 1 else STATUS_OK]
+        statuses[10:12] = []
+    assert set(statuses) == {STATUS_OK}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_fit_grid_v_hat_does_not_depend_on_the_sandwich_chunk(chunk, monkeypatch):
+    data = _cohort()
+    t, s = _visits(data)
+    points = [(50.0, 1.0)] + list(zip(t.tolist(), s.tolist()))[::7]
+    want = _v_hat_bits(fit_grid(data, points, 0.5))
+    monkeypatch.setattr(fit_module, "SANDWICH_CHUNK", chunk)
+    assert _v_hat_bits(fit_grid(data, points, 0.5)) == want
+
+
+def _cluster_dataset():
+    """Intercept-only cohort in three clusters of the (t, s) plane, far apart at
+    h=0.5: responses of +-1e-170 at (1, 5), whose sandwich underflows, +-1e200 at
+    (10, 5), whose sandwich overflows, and ordinary ones at (5, 5)."""
+    subjects = []
+    for c, (t0, y) in enumerate(((1.0, 1e-170), (10.0, 1e200), (5.0, 1.0))):
+        for i in range(6):
+            times = t0 + np.array([-0.2, 0.0, 0.2]) + 0.01 * i
+            signs = np.array([1.0, -1.0, 1.0]) * (-1.0) ** i
+            subjects.append(Subject(f"c{c}s{i}", times, np.ones((3, 1)), y * signs,
+                                    t0 + 5.0, True))
+    return Dataset(subjects, p=1)
+
+
+@pytest.mark.parametrize("padding", [0, 20])
+@pytest.mark.parametrize("order, what", [("under-over", "underflows"),
+                                         ("over-under", "overflows")])
+@pytest.mark.filterwarnings("error")
+def test_first_failing_sandwich_point_raises_first(order, what, padding):
+    data, under, over = _cluster_dataset(), (1.0, 5.0), (10.0, 5.0)
+    assert fit_grid(data, [(5.0, 5.0)], 0.5)[0].v_hat is not None
+    first, last = (under, over) if order == "under-over" else (over, under)
+    grid = [(5.0, 5.0), first] + [(5.0, 5.0)] * padding + [last]
+    message = f"^the sandwich variance {what} at bandwidth h=0.5: "
+    with pytest.raises(ValueError, match=message):
+        oracles.reference_sandwich(data, grid, 0.5)
+    with pytest.raises(ValueError, match=message):
+        fit_grid(data, grid, 0.5)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import math
 import os
 import re
 import tempfile
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import vcterm.io as vcterm_io
 from vcterm import DataError, Dataset, SimConfig, gen_dataset
 from vcterm.io import (TRANSFORMS, IngestionReport, apply_transform, fmt_cell, json_text,
-                       load_csv, read_table, write_dataset_csv, write_truth_csv)
+                       load_csv, read_cell, read_table, write_dataset_csv,
+                       write_truth_csv)
 from vcterm.simulate import TruthRecord
 
 import oracles
@@ -344,3 +346,14 @@ def test_short_rows_load_as_the_reference_loader_loads_them(tmp_path, monkeypatc
     expected = _loaded(oracles.reference_load_csv, str(path))
     assert _loaded(load_csv, str(path)) == expected
     assert diagnostic in expected[3]["diagnostics"]
+
+
+def test_read_cell_reads_what_fmt_cell_writes():
+    for v in (0.1, -2.5e-300, 1e308, 3.0):
+        assert read_cell(fmt_cell(v)) == v
+    for missing in (math.nan, math.inf, None):
+        assert math.isnan(read_cell(fmt_cell(missing)))
+    with pytest.raises(ValueError):
+        read_cell("abc")
+    with pytest.raises(TypeError):  # the None that csv.DictReader gives a short row
+        read_cell(None)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,10 @@ from scipy.optimize import brentq
 import vcterm.simulate as simulate
 from vcterm.simulate import (
     SimConfig,
-    beta_interarrival_params,
     beta_value,
     covariate_covariance,
     error_covariance,
     gen_dataset,
-    gen_visit_times,
     spawn_stateless,
     true_beta,
     trunc_exp_inverse,
@@ -54,22 +53,24 @@ def test_beta_value_constant_mode():
 
 
 def test_beta_interarrival_params():
-    a, b = beta_interarrival_params(0.5, 0.01)
+    # the reference generator's Beta parameters, which gen_dataset matches bit for bit
+    a, b = oracles.beta_interarrival_params(0.5, 0.01)
     assert a == pytest.approx(1250.0)
     assert b == pytest.approx(1250.0)
-    a2, b2 = beta_interarrival_params(0.25, 0.01)
+    a2, b2 = oracles.beta_interarrival_params(0.25, 0.01)
     assert a2 == pytest.approx(625.0)
     assert b2 == pytest.approx(1875.0)
 
 
 def test_gen_visit_times_layout():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        t = gen_visit_times(rng, m=20, nu=0.01)
-        assert t.shape == (20,)
+    # a follow-up of at least 25 years keeps all 20 visits of every subject
+    ds, _ = gen_dataset(SimConfig(n=50, seed=3, shift=25.0))
+    assert (ds.counts == 20).all()
+    j = np.arange(20)
+    for s in ds.subjects:
+        t = s.times
         assert 0.0 < t[0] < 1.0
         assert np.all(np.diff(t) > 0)
-        j = np.arange(20)
         assert np.all(t > j - 1e-12)
         assert np.all(t < j + 1.0)
         gaps = np.diff(t)
@@ -78,11 +79,11 @@ def test_gen_visit_times_layout():
 
 
 def test_gen_visit_times_validation():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        gen_visit_times(rng, m=0)
-    with pytest.raises(ValueError):
-        gen_visit_times(rng, m=5, nu=0.0)
+    # SimConfig is what keeps gen_dataset's visit draws to m >= 1 and nu in (0, 0.5]
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        SimConfig(n=5, m=0)
+    with pytest.raises(ValueError, match=re.escape("nu must be in (0, 0.5]")):
+        SimConfig(n=5, nu=0.0)
 
 
 def test_covariate_covariance_closed_form():
@@ -375,5 +376,21 @@ def test_sim_config_validation():
         SimConfig(n=5, beta_mode="step")
     with pytest.raises(ValueError):
         SimConfig(n=5, event_coefs=(1.0, 2.0))
+    for params in ((), (1.0,), (1.0, -0.1, 0.0)):
+        with pytest.raises(ValueError, match="error_var_params must have 2 entries"):
+            SimConfig(n=5, error_var_params=params)
     with pytest.raises(ValueError):
         SimConfig(n=5, truncation=0.0)
+
+
+@pytest.mark.parametrize("key, coefs, rate", [
+    ("censor_coefs", (1.0, 3.0, 800.0), "inf"),
+    ("censor_coefs", (1.0, 3.0, -800.0), "0.0"),
+    ("event_coefs", (3.0, 1.0, 800.0), "inf"),
+    ("event_coefs", (1e308, 1e308, 0.0), None),
+])
+def test_rate_that_over_or_underflows_names_its_config_key(key, coefs, rate):
+    with pytest.raises(NumericalError, match=f"^config key {key}: the rate exp") as info:
+        gen_dataset(SimConfig(n=5, seed=0, **{key: coefs}))
+    if rate is not None:
+        assert f" is {rate} at X2=" in str(info.value)

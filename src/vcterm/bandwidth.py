@@ -17,7 +17,6 @@ from .data import Dataset
 from .errors import NumericalError
 from .engine import View, check_bandwidth
 from .fit import _residuals
-from .kernel import DEFAULT_KERNEL
 
 DEFAULT_GAMMA = 1.0 / 20.0
 DEFAULT_FOLDS = 5
@@ -81,7 +80,7 @@ def cv_score(data: Dataset, folds: FoldAssignment, h: float) -> tuple[float, flo
     # each held-out fit weighs only the other folds' observations: a sum over
     # the training set, never the full fit minus the own fold
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
-        resid, valid = _residuals(view, h, DEFAULT_KERNEL, np.arange(view.n_obs), fold=obs_fold)
+        resid, valid = _residuals(view, h, np.arange(view.n_obs), fold=obs_fold)
         err = resid[valid]
         excluded_fraction = (view.n_obs - err.size) / view.n_obs
         if excluded_fraction > MAX_EXCLUDED_FRACTION or not err.size:
@@ -116,7 +115,7 @@ def candidate_grid(h_grid=None) -> tuple:
     if not grid:
         raise ValueError("h_grid must be nonempty")
     for h in grid:
-        check_bandwidth(h, DEFAULT_KERNEL)
+        check_bandwidth(h)
     return grid
 
 

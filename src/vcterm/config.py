@@ -39,90 +39,60 @@ def load_kv_file(path: str) -> dict[str, str]:
         raise DataError(f"cannot open {path}: {exc}") from exc
 
 
-def _to_int(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"config key {key}: expected integer, got {text!r}")
-
-
-def _to_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"config key {key}: expected number, got {text!r}")
-
-
-def _to_bool(key, text):
+def _bool(text):
     low = text.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise DataError(f"config key {key}: expected true/false, got {text!r}")
+    raise ValueError(text)
 
 
-def _to_floats(key, text):
-    if not text:
-        return ()
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise DataError(f"config key {key}: expected comma-separated numbers, got {text!r}")
+def _floats(text):
+    return tuple(float(part) for part in text.split(",")) if text else ()
 
 
-def _to_points(key, text):
-    pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise DataError(f"config key {key}: expected t:s pairs, got {chunk!r}")
-        try:
-            pts.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise DataError(f"config key {key}: expected t:s pairs, got {chunk!r}")
-    if not pts:
-        raise DataError(f"config key {key}: no points given")
-    return tuple(pts)
+def _points(text):
+    pairs = [chunk.split(":") for chunk in text.split(";") if chunk.strip()]
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(text)
+    return tuple((float(t), float(s)) for t, s in pairs)
 
 
-def _to_text(key, text):
-    return text
-
+# what each parser expects, for the one message of a value it rejects
+_KINDS = {int: "integer", float: "number", _bool: "true/false",
+          _floats: "comma-separated numbers", _points: "t:s pairs separated by ';'"}
 
 _KEYS = {  # key -> (section, field, parser); sections: sim, study, grid, cv
-    "n": ("sim", "n", _to_int),
-    "m": ("sim", "m", _to_int),
-    "p": ("sim", "p", _to_int),
-    "nu": ("sim", "nu", _to_float),
-    "seed": ("sim", "seed", _to_int),
-    "event_coefs": ("sim", "event_coefs", _to_floats),
-    "censor_coefs": ("sim", "censor_coefs", _to_floats),
-    "truncation": ("sim", "truncation", _to_float),
-    "shift": ("sim", "shift", _to_float),
-    "error_var_params": ("sim", "error_var_params", _to_floats),
-    "error_corr_base": ("sim", "error_corr_base", _to_float),
-    "white_noise_var": ("sim", "white_noise_var", _to_float),
-    "zero_errors": ("sim", "zero_errors", _to_bool),
-    "beta_mode": ("sim", "beta_mode", _to_text),
-    "constant_beta": ("sim", "constant_beta", _to_floats),
-    "replications": ("study", "replications", _to_int),
-    "h_policy": ("study", "h_policy", _to_text),
-    "h_fixed": ("study", "h_fixed", _to_float),
-    "gamma": ("study", "gamma", _to_float),
-    "alpha": ("study", "alpha", _to_float),
-    "grid": ("grid", "kind", _to_text),
-    "slice_T": ("grid", "slice_T", _to_floats),
-    "slice_t_step": ("grid", "slice_t_step", _to_float),
-    "rect_t": ("grid", "rect_t", _to_floats),
-    "rect_s": ("grid", "rect_s", _to_floats),
-    "points": ("grid", "points", _to_points),
-    "cv_h_grid": ("cv", "h_grid", _to_floats),
-    "cv_folds": ("cv", "folds", _to_int),
-    "cv_seed": ("cv", "seed", _to_int),
+    "n": ("sim", "n", int),
+    "m": ("sim", "m", int),
+    "p": ("sim", "p", int),
+    "nu": ("sim", "nu", float),
+    "seed": ("sim", "seed", int),
+    "event_coefs": ("sim", "event_coefs", _floats),
+    "censor_coefs": ("sim", "censor_coefs", _floats),
+    "truncation": ("sim", "truncation", float),
+    "shift": ("sim", "shift", float),
+    "error_var_params": ("sim", "error_var_params", _floats),
+    "error_corr_base": ("sim", "error_corr_base", float),
+    "white_noise_var": ("sim", "white_noise_var", float),
+    "zero_errors": ("sim", "zero_errors", _bool),
+    "beta_mode": ("sim", "beta_mode", str),
+    "constant_beta": ("sim", "constant_beta", _floats),
+    "replications": ("study", "replications", int),
+    "h_policy": ("study", "h_policy", str),
+    "h_fixed": ("study", "h_fixed", float),
+    "gamma": ("study", "gamma", float),
+    "alpha": ("study", "alpha", float),
+    "grid": ("grid", "kind", str),
+    "slice_T": ("grid", "slice_T", _floats),
+    "slice_t_step": ("grid", "slice_t_step", float),
+    "rect_t": ("grid", "rect_t", _floats),
+    "rect_s": ("grid", "rect_s", _floats),
+    "points": ("grid", "points", _points),
+    "cv_h_grid": ("cv", "h_grid", _floats),
+    "cv_folds": ("cv", "folds", int),
+    "cv_seed": ("cv", "seed", int),
 }
 
 
@@ -133,7 +103,11 @@ def _parse(mapping: dict[str, str]) -> dict[str, dict]:
         if key not in _KEYS:
             raise DataError(f"unknown config key {key!r}")
         section, name, parse = _KEYS[key]
-        values[section][name] = parse(key, mapping[key])
+        try:
+            values[section][name] = parse(mapping[key])
+        except ValueError:
+            raise DataError(f"config key {key}: expected {_KINDS[parse]}, "
+                            f"got {mapping[key]!r}") from None
     return values
 
 

@@ -1,15 +1,16 @@
 """Batched local weighted least squares on a fixed (t, s) cell lattice.
 
-Every fit is a batch of targets (t0, s0) handed to `solve`. Observations sit
-in square cells of side reach = truncation_radius * h, so each kernel disk
-lies in the 3 x 3 cells around its target's cell (the fixed-radius
-near-neighbour cell list of Bentley, Stanat & Williams, 1977). Per cell, the
-targets go in slabs of at most 2 * CHUNK: one kernel evaluation per slab
-fills a slab x candidates weight block W in place, in two buffers reused
-across the cell's slabs. W then multiplies the stacked features
-[vec(x x'), x y] of the cell's candidates CHUNK rows at a time, a partial
-last chunk zero-padded to CHUNK rows. The fixed GEMM height and per-cell
-candidate sets keep each target's bits independent of the batch.
+Every fit is a batch of targets (t0, s0) handed to `solve`, weighed by the
+estimator's one kernel, DEFAULT_KERNEL. Observations sit in square cells of
+side reach = truncation_radius * h, so each kernel disk lies in the 3 x 3
+cells around its target's cell (the fixed-radius near-neighbour cell list of
+Bentley, Stanat & Williams, 1977). Per cell, the targets go in slabs of at
+most 2 * CHUNK: one kernel evaluation per slab fills a slab x candidates
+weight block W in place, in two buffers reused across the cell's slabs. W
+then multiplies the stacked features [vec(x x'), x y] of the cell's
+candidates CHUNK rows at a time, a partial last chunk zero-padded to CHUNK
+rows. The fixed GEMM height and per-cell candidate sets keep each target's
+bits independent of the batch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import namedtuple
 import numpy as np
 
 from .data import Dataset
-from .kernel import _TWO_PI, Kernel, _weigh
+from .kernel import _TWO_PI, DEFAULT_KERNEL, _weigh
 
 STATUS_OK = "ok"
 STATUS_SINGULAR = "singular"
@@ -61,7 +62,7 @@ class View:
 Solution = namedtuple("Solution", "beta n_eff status evals evecs")
 
 
-def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
+def _blocks(view: View, t0, s0, h: float, fold):
     """Yield (rows, cand, W, F[cand]) per slab; W[r, c] weighs observation cand[c]
     at target rows[r], and is zero when fold[0][rows[r]] == fold[1][cand[c]].
     W lives in a buffer that the next slab overwrites."""
@@ -70,7 +71,7 @@ def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
     lo_t, lo_s = view.t.min(), view.s.min()
     # a hair wider than reach, so rounding cannot put a disk point two cells
     # away; at most 2**20 cells per axis, so a tiny h cannot overflow the keys
-    side = (1.0 + 1e-6) * max(kernel.truncation_radius * h,
+    side = (1.0 + 1e-6) * max(DEFAULT_KERNEL.truncation_radius * h,
                               max(np.ptp(view.t), np.ptp(view.s)) / 2**20)
     ci = np.floor((view.t - lo_t) / side).astype(np.intp)
     cj = np.floor((view.s - lo_s) / side).astype(np.intp)
@@ -103,36 +104,36 @@ def _blocks(view: View, t0, s0, h: float, kernel: Kernel, fold):
             u /= h
             np.subtract(sc, s0[rows, None], out=v)
             v /= h
-            W = _weigh(kernel, u, v)
+            W = _weigh(DEFAULT_KERNEL, u, v)
             W /= hh
             if fc is not None:
                 W *= np.not_equal(fold[0][rows, None], fc, out=v)
             yield rows, cand, W, Fc
 
 
-def check_bandwidth(h: float, kernel: Kernel):
+def check_bandwidth(h: float):
     """ValueError unless h, h * h and the largest weight K(0, 0) / h^2 are positive
     and finite (W divides by h * h)."""
     if not (h > 0 and 0 < h * h < math.inf):
         raise ValueError("bandwidth h must be positive and finite, and so must h*h")
-    if not kernel.normalizer / _TWO_PI / (h * h) < math.inf:
+    if not DEFAULT_KERNEL.normalizer / _TWO_PI / (h * h) < math.inf:
         raise ValueError(f"bandwidth h={h!r} is too small: the kernel weight K(0, 0) / h^2 "
                          "overflows")
 
 
-def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
+def solve(view: View, t0, s0, h: float, fold=None,
           weights: dict | None = None) -> Solution:
     """Local fits at all targets (t0[i], s0[i]) in one pass.
 
     A target is "empty_support" when fewer than p observations carry weight,
     "singular" when its Gram matrix fails the reciprocal-condition test.
-    ValueError when check_bandwidth fails (with the default kernel, h below
-    about 3.05e-155) or a kernel moment overflows.
+    ValueError when check_bandwidth fails (h below about 3.05e-155) or a
+    kernel moment overflows.
     With a weights dict, weights[i] = (idx, w) lists each supported target's nonzero weights.
     """
     t0, s0 = np.asarray(t0, dtype=float), np.asarray(s0, dtype=float)
     h = float(h)
-    check_bandwidth(h, kernel)
+    check_bandwidth(h)
     if not (np.isfinite(t0).all() and np.isfinite(s0).all()):
         raise ValueError("target points must be finite")
     p, B = view.p, t0.size
@@ -142,7 +143,7 @@ def solve(view: View, t0, s0, h: float, kernel: Kernel, fold=None,
     # weighs zero; past check_bandwidth, only a moment sum can overflow, or be
     # NaN where a zero weight meets an infinite feature
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cand, W, Fc in _blocks(view, t0, s0, h, kernel, fold):
+        for rows, cand, W, Fc in _blocks(view, t0, s0, h, fold):
             for k in range(0, rows.size, CHUNK):
                 block = W[k:k + CHUNK]
                 if block.shape[0] < CHUNK:

@@ -4,7 +4,7 @@ A study draws R independent cohorts, fits the model with variance on a
 fixed evaluation grid, and aggregates bias, spread, estimated standard
 errors, and confidence-interval coverage per grid point and coefficient.
 Per-replication rows are persisted append-only so a crashed study resumes;
-a partial file with no finished replication restarts. Studies use the default kernel.
+a partial file with no finished replication restarts.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, candidate_grid,
 from .data import Dataset
 from .engine import check_bandwidth
 from .errors import DataError
-from .fit import (DEFAULT_KERNEL, STATUS_OK, STATUSES, fit_grid, normal_quantile,
-                  standard_errors)
+from .fit import STATUS_OK, STATUSES, fit_grid, normal_quantile, standard_errors
 from .io import fmt_cell, json_text, read_cell, save_table, write_rows
+from .kernel import DEFAULT_KERNEL
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
 H_POLICIES = ("fixed", "cv-once", "cv-per-rep")
@@ -98,7 +98,7 @@ class StudyConfig:
             raise ValueError(f"h_policy must be one of {H_POLICIES}")
         if self.h_policy == "fixed":
             try:
-                check_bandwidth(float(self.h_fixed or 0.0), DEFAULT_KERNEL)
+                check_bandwidth(float(self.h_fixed or 0.0))
             except ValueError as exc:
                 raise ValueError(f"fixed h_policy needs a positive h_fixed: {exc}") from None
         candidate_grid(self.cv.h_grid)
@@ -106,9 +106,15 @@ class StudyConfig:
         # n^(-gamma) only grows as n falls, so every drawn cohort passes too
         undersmoothing_factor(self.sim.n, self.gamma)
         points = self.grid.eval_points()
+        if not points:
+            raise ValueError("the grid has no points: each slice_T must exceed slice_t_step")
         for t, s in points:
             if t < 0 or s < 0:
                 raise ValueError(f"grid point ({t}, {s}) leaves the first quadrant")
+        with np.errstate(over="ignore", invalid="ignore"):  # far out, the surfaces overflow
+            if not np.isfinite(truth_matrix(self.sim, points)).all():
+                raise ValueError("a grid point lies so far out that its true coefficients "
+                                 "are not finite")
         if self.grid.kind == "rect":
             try:  # the coverage heatmaps need each mesh point exactly once
                 rect_index(points)

@@ -19,7 +19,6 @@ import numpy as np
 from .data import Dataset
 from .engine import STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, STATUSES, View, solve  # noqa: F401
 from .errors import NumericalError
-from .kernel import DEFAULT_KERNEL, Kernel
 
 _TINY = np.finfo(float).tiny  # a score Gram diagonal below this has underflowed
 SANDWICH_CHUNK = 16  # points per batched score sum; bounds its arrays for any grid
@@ -63,11 +62,11 @@ class ResidualTable:
         return int(self.valid.size - np.count_nonzero(self.valid))
 
 
-def _residuals(view: View, h: float, kernel: Kernel, rows: np.ndarray, fold=None):
+def _residuals(view: View, h: float, rows: np.ndarray, fold=None):
     """(resid, valid) over all observations: NaN unless in the sorted rows with an ok own fit.
     fold, one per observation, zeroes each own fit's weights on its own fold (for CV)."""
     fold = None if fold is None else (fold[rows], fold)
-    sol = solve(view, view.t[rows], view.s[rows], h, kernel, fold=fold)
+    sol = solve(view, view.t[rows], view.s[rows], h, fold=fold)
     ok = sol.status == 0
     valid = np.zeros(view.n_obs, dtype=bool)
     valid[rows[ok]] = True
@@ -77,13 +76,13 @@ def _residuals(view: View, h: float, kernel: Kernel, rows: np.ndarray, fold=None
     return resid, valid
 
 
-def _fit_points(data: Dataset, points, h: float, kernel: Kernel) -> list[FitPoint]:
+def _fit_points(data: Dataset, points, h: float) -> list[FitPoint]:
     """One engine pass over the points, with the sandwich variance of each ok point;
     its residual pass covers only the observations that ok points weigh."""
     view = View(data)
     t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
     weights = {}
-    sol = solve(view, t0, s0, h, kernel, weights=weights)
+    sol = solve(view, t0, s0, h, weights=weights)
     h = float(h)
     ok = sol.status == 0
     out = [FitPoint(float(t0[i]), float(s0[i]), h, sol.beta[i] if ok[i] else None,
@@ -96,7 +95,7 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel) -> list[FitPoin
     need[np.concatenate([weights[i][0] for i in fits])] = True
     n, p = view.n_subjects, view.p
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V raises below
-        resid, valid = _residuals(view, h, kernel, np.flatnonzero(need))
+        resid, valid = _residuals(view, h, np.flatnonzero(need))
         eps = np.where(valid, resid, 0.0)
         for lo in range(0, len(fits), SANDWICH_CHUNK):
             chunk = fits[lo:lo + SANDWICH_CHUNK]
@@ -125,8 +124,7 @@ def _fit_points(data: Dataset, points, h: float, kernel: Kernel) -> list[FitPoin
     return out
 
 
-def local_fit(data: Dataset, t0: float, s0: float, h: float,
-              kernel: Kernel = DEFAULT_KERNEL) -> FitPoint:
+def local_fit(data: Dataset, t0: float, s0: float, h: float) -> FitPoint:
     """Pointwise estimate at (t0, s0) with its sandwich variance; never raises on thin support.
 
     status is "empty_support" when fewer weighted observations than
@@ -135,24 +133,23 @@ def local_fit(data: Dataset, t0: float, s0: float, h: float,
     same solve and the residuals of the observations in its kernel disk; a
     failed one has none and skips the residual pass.
     """
-    return _fit_points(data, [(t0, s0)], h, kernel)[0]
+    return _fit_points(data, [(t0, s0)], h)[0]
 
 
-def residuals(data: Dataset, h: float, kernel: Kernel = DEFAULT_KERNEL) -> ResidualTable:
+def residuals(data: Dataset, h: float) -> ResidualTable:
     """Residual of every complete-case observation against its own local fit.
 
     Each observation (i, j) is compared with x_ij' beta_hat(tau_ij, Ti - tau_ij)
     at the same bandwidth.
     """
     view = View(data)
-    resid, valid = _residuals(view, float(h), kernel, np.arange(view.n_obs))
+    resid, valid = _residuals(view, float(h), np.arange(view.n_obs))
     ids = tuple(view.subject_ids[j] for j in view.subj)
     return ResidualTable(h=float(h), subject_ids=ids, times=view.t.copy(),
                          resid=resid, valid=valid)
 
 
-def sandwich_variance(data: Dataset, t0: float, s0: float, h: float,
-                      kernel: Kernel = DEFAULT_KERNEL) -> np.ndarray:
+def sandwich_variance(data: Dataset, t0: float, s0: float, h: float) -> np.ndarray:
     """Moment-based sandwich V_hat = n h^2 A^{-1} M A^{-1} at (t0, s0), symmetrized.
 
     M sums outer products of per-subject scores g_i = Xi' Ki eps_i, keeping
@@ -160,7 +157,7 @@ def sandwich_variance(data: Dataset, t0: float, s0: float, h: float,
     come from the same bandwidth; invalid ones contribute zero to M. Raises
     FitError on empty support or a singular Gram matrix.
     """
-    fp = local_fit(data, t0, s0, h, kernel)
+    fp = local_fit(data, t0, s0, h)
     if fp.status != STATUS_OK:
         raise FitError(fp.status, fp.n_eff)
     return fp.v_hat
@@ -170,6 +167,8 @@ def normal_quantile(alpha: float) -> float:
     """z_{alpha/2}: interval half-width, in standard errors, at level 1 - alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha={alpha!r} is too small: 1 - alpha/2 rounds to 1")
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
@@ -196,8 +195,7 @@ def standard_errors(fit: FitPoint, n: int) -> np.ndarray:
     return np.sqrt(np.maximum(fit.v_hat.diagonal(), 0.0) / (n * fit.h * fit.h))
 
 
-def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL
-             ) -> list[FitPoint]:
+def fit_grid(data: Dataset, grid, h: float) -> list[FitPoint]:
     """Fit every (t0, s0) in the grid; per-point failures never abort the grid.
 
     Every ok point carries v_hat; one residual pass covers the observations
@@ -206,5 +204,5 @@ def fit_grid(data: Dataset, grid, h: float, kernel: Kernel = DEFAULT_KERNEL
     points = [(float(t), float(s)) for t, s in grid]
     if not points:
         raise ValueError("grid must contain at least one point")
-    return _fit_points(data, points, h, kernel)
+    return _fit_points(data, points, h)
 

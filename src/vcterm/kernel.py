@@ -26,8 +26,7 @@ class Kernel:
     The default is the standard bivariate normal truncated to the disk
     containing 95% of its mass and renormalized so the kernel integrates
     to one. ``normalizer`` can be overridden to use an unnormalized
-    truncation; point estimates are invariant to that choice, only the
-    moment diagnostics change.
+    truncation in the moment diagnostics; every fit uses DEFAULT_KERNEL.
     """
 
     truncation_radius: float = DEFAULT_RADIUS

@@ -28,6 +28,10 @@ BETA_MODES = ("surfaces", "constant")
 _CLAMP = 1e-12
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 BLOCK_SUBJECTS = 32  # subjects per stacked factorization; bounds the stacks' memory for any n
+# the bound on n * (m + 2), the size of the draw arrays, and on
+# BLOCK_SUBJECTS * (m + 2)**2, the size of a block of covariances
+MAX_CELLS = 2**24
+NU_MIN = 1e-150  # the visit-time Beta parameters, below 1 / (4 nu^2), then stay finite
 
 # numpy's SeedSequence hash constants and PCG64 multiplier, fixed by NumPy's
 # stream-compatibility policy (NEP 19); see _child_states
@@ -74,6 +78,12 @@ class SimConfig:
             raise ValueError("p must be 1, 2, or 3")
         if not 0.0 < self.nu <= 0.5:
             raise ValueError("nu must be in (0, 0.5]")
+        if self.nu < NU_MIN:
+            raise ValueError(f"nu must be at least {NU_MIN:g}, or the visit-time draws overflow")
+        cells = max(self.n, BLOCK_SUBJECTS * (self.m + 2)) * (self.m + 2)
+        if cells > MAX_CELLS:  # checked before gen_dataset allocates anything
+            raise ValueError(f"n={self.n} and m={self.m} need {cells} numbers per array; "
+                             f"at most {MAX_CELLS} are allowed")
         for name, size in (("event_coefs", 3), ("censor_coefs", 3), ("error_var_params", 2)):
             if len(getattr(self, name)) != size:
                 raise ValueError(f"{name} must have {size} entries")
@@ -331,7 +341,8 @@ def gen_dataset(config: SimConfig,
     uniforms, error normals. The loop over subjects only draws; the
     covariance algebra then runs on stacks of BLOCK_SUBJECTS subjects, which
     gives every subject the bits it would get on its own. RuntimeError if
-    the first or last subject's derived stream state differs from numpy's.
+    the first or last subject's derived stream state differs from numpy's;
+    NumericalError, naming the config keys, if a response is not finite.
     """
     ss = np.random.SeedSequence(config.seed) if seed_seq is None else seed_seq
     n, m = config.n, config.m
@@ -357,7 +368,8 @@ def gen_dataset(config: SimConfig,
         rows = slice(lo, lo + BLOCK_SUBJECTS)
         cov[rows] = _correlate(covariate_covariance(t_cov[rows]), z_cov[rows])
         if not config.zero_errors:
-            eps[rows] = _errors(taus[rows], z_corr[rows], z_white[rows], config)
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite errors raise below
+                eps[rows] = _errors(taus[rows], z_corr[rows], z_white[rows], config)
 
     x2, x3_0 = cov[:, 0].tolist(), cov[:, 1].tolist()
     events = [_event_times(u_t, u_c, a, b, config)
@@ -373,8 +385,17 @@ def gen_dataset(config: SimConfig,
                          cov[:, 2:][keep]][: config.p])
     s_axis = np.repeat(t_event, counts) - kept_t
     y = eps[keep]
-    for k in range(1, config.p + 1):
-        y += X[:, k - 1] * beta_value(config, k, kept_t, s_axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, config.p + 1):
+            y += X[:, k - 1] * beta_value(config, k, kept_t, s_axis)
+    if not np.isfinite(y).all():
+        if not np.isfinite(eps[keep]).all():
+            key, why = "key error_var_params", "the error variance overflows"
+        elif config.beta_mode == "constant":
+            key, why = "key constant_beta", "the coefficients are too large"
+        else:  # the surfaces overflow only far out on the time-to-event axis
+            key, why = "keys shift and truncation", "the event times are too large"
+        raise NumericalError(f"config {key}: the simulated responses are not finite; {why}")
     # subjects without a visit before follow-up ends (only when shift < 1)
     # keep their truth row but carry no observations
     with_visits = np.flatnonzero(counts)

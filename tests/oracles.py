@@ -90,7 +90,7 @@ def dense_sandwich(dataset, t0: float, s0: float, h: float, resid_map: dict
     return n_cc * h * h * (A_inv @ M @ A_inv)
 
 
-def reference_sandwich(dataset, points, h: float, kernel=None) -> list:
+def reference_sandwich(dataset, points, h: float) -> list:
     """The per-point sandwich loop that vcterm.fit._fit_points batched: v_hat of
     each point (None unless its fit is ok), with one np.add.at per point.
 
@@ -100,13 +100,11 @@ def reference_sandwich(dataset, points, h: float, kernel=None) -> list:
     """
     from vcterm.engine import View, solve
     from vcterm.fit import _TINY, _residuals
-    from vcterm.kernel import DEFAULT_KERNEL
 
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
     view = View(dataset)
     t0, s0 = np.array(points, dtype=float).reshape(-1, 2).T
     weights = {}
-    sol = solve(view, t0, s0, h, kernel, weights=weights)
+    sol = solve(view, t0, s0, h, weights=weights)
     h = float(h)
     out = [None] * t0.size
     fits = np.flatnonzero(sol.status == 0).tolist()
@@ -115,7 +113,7 @@ def reference_sandwich(dataset, points, h: float, kernel=None) -> list:
     need = np.zeros(view.n_obs, dtype=bool)
     need[np.concatenate([weights[i][0] for i in fits])] = True
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V raises below
-        resid, valid = _residuals(view, h, kernel, np.flatnonzero(need))
+        resid, valid = _residuals(view, h, np.flatnonzero(need))
         eps = np.where(valid, resid, 0.0)
         for i in fits:
             idx, w = weights[i]

@@ -127,6 +127,69 @@ def test_config_that_cannot_simulate_exits_with_its_code(tmp_path, capsys, sub, 
     assert not os.path.exists(out + "/records.csv") and not os.path.isfile(out)
 
 
+EXTREME_BASE = {"n": "40", "seed": "1", "replications": "2", "h_policy": "fixed",
+                "h_fixed": "2.5", "grid": "points", "points": "1:8;2:7"}
+# (values over EXTREME_BASE, exit code of simulate, exit code of study); simulate
+# ignores the study keys
+EXTREME_VALUES = [
+    ({"nu": "1e-300"}, 3, 3),
+    ({"nu": "1e-160"}, 3, 3),
+    ({"nu": "5e-324"}, 3, 3),
+    ({"n": "1000000000000"}, 3, 3),
+    ({"m": "100000"}, 3, 3),
+    ({"shift": "1e300"}, 4, 4),
+    ({"error_var_params": "1e300,1e300"}, 4, 4),
+    ({"beta_mode": "constant", "constant_beta": "1e308,1e308,1e308"}, 4, 4),
+    ({"alpha": "1e-300"}, 0, 3),
+    ({"grid": "slices", "slice_t_step": "1e300"}, 0, 3),
+    ({"points": "1e308:1e308"}, 0, 3),
+    ({"nu": "0.5"}, 0, 0),
+    ({"m": "1"}, 0, 0),
+    ({"truncation": "1e308"}, 0, 0),
+    ({"truncation": "5e-324"}, 0, 0),
+    ({"white_noise_var": "1e308"}, 0, 2),
+    ({"white_noise_var": "5e-324"}, 0, 0),
+    ({"error_corr_base": "5e-324"}, 0, 0),
+    ({"event_coefs": "1e308,1e308,1e308"}, 4, 4),
+    ({"replications": "0"}, 0, 3),
+    ({"h_policy": "cv-once", "gamma": "1e308"}, 0, 3),
+    ({"h_fixed": "5e-324"}, 0, 3),
+    ({"h_fixed": "1e308"}, 0, 3),
+    ({"h_policy": "cv-once", "cv_folds": "1"}, 0, 2),
+    ({"h_policy": "cv-once", "cv_folds": "1000"}, 0, 2),
+    ({"h_policy": "cv-once", "cv_h_grid": "1e-300"}, 0, 3),
+    ({"points": "-1:5"}, 0, 3),
+]
+
+
+@pytest.mark.parametrize("values, sim_code, study_code", EXTREME_VALUES)
+@pytest.mark.parametrize("sub", ["simulate", "study"])
+def test_extreme_config_value_exits_with_a_documented_code(tmp_path, capsys, sub, values,
+                                                           sim_code, study_code):
+    cfg = tmp_path / "extreme.conf"
+    cfg.write_text("".join(f"{key} = {value}\n"
+                           for key, value in {**EXTREME_BASE, **values}.items()),
+                   encoding="utf-8")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([sub, "--config", str(cfg), "--out" if sub == "simulate" else "--out-dir",
+                     out])
+    assert code in (0, 2, 3, 4)
+    assert code == (sim_code if sub == "simulate" else study_code)
+    errors = [json.loads(ln) for ln in capsys.readouterr().err.splitlines() if ln.startswith("{")]
+    assert [e["code"] for e in errors] == ([] if code == 0 else [code])
+    if code == 3:
+        assert not os.path.exists(out)
+
+
+def test_fit_alpha_whose_quantile_rounds_away_is_a_usage_error(noiseless_csv, capsys):
+    assert main(["fit", "--data", noiseless_csv, "--t0", "1", "--s0", "6", "--h", "3",
+                 "--alpha", "1e-300"]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": "alpha=1e-300 is too small: 1 - alpha/2 rounds to 1", "code": 2}
+
+
 def test_fit_recovers_constant_coefficients(noiseless_csv, capsys):
     rc = main(["fit", "--data", noiseless_csv, "--t0", "1", "--s0", "6",
                "--h", "3"])

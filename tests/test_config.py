@@ -92,6 +92,25 @@ def test_study_config_errors():
         study_config_from_mapping({**base, "alpha": "2.0"})
 
 
+@pytest.mark.parametrize("key, text, kind", [
+    ("n", "lots", "integer"),
+    ("nu", "tiny", "number"),
+    ("zero_errors", "maybe", "true/false"),
+    ("event_coefs", "1,,2", "comma-separated numbers"),
+    ("points", "1:9; 2-8", "t:s pairs separated by ';'"),
+    ("points", ";", "t:s pairs separated by ';'"),
+])
+def test_a_bad_value_names_its_key_and_what_its_parser_expects(key, text, kind):
+    with pytest.raises(DataError) as info:
+        study_config_from_mapping({"n": "30", "replications": "1", **{key: text}})
+    assert str(info.value) == f"config key {key}: expected {kind}, got {text!r}"
+
+
+def test_study_alpha_whose_quantile_rounds_away_is_named():
+    with pytest.raises(DataError, match="^invalid study config: alpha=1e-300 is too small"):
+        study_config_from_mapping({"n": "30", "replications": "1", "alpha": "1e-300"})
+
+
 def test_canonical_sim_config_text_parses_every_key():
     cfg = SimConfig(n=17, m=6, nu=0.02, seed=23, shift=4.5,
                     event_coefs=(2.0, 0.5, -4.0), zero_errors=True,

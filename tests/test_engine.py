@@ -26,7 +26,7 @@ def test_weights_equal_kernel_eval_over_h_squared(view, with_fold):
     s0 = np.full(n, view.s[j])
     fold = (rng.integers(0, 3, n), rng.integers(0, 3, view.n_obs)) if with_fold else None
     weights = {}
-    sol = solve(view, t0, s0, H, DEFAULT_KERNEL, fold=fold, weights=weights)
+    sol = solve(view, t0, s0, H, fold=fold, weights=weights)
     assert sorted(weights) == list(range(n))
     for i in range(n):
         w = kernel_eval(DEFAULT_KERNEL, (view.t - t0[i]) / H, (view.s - s0[i]) / H) / (H * H)
@@ -43,10 +43,10 @@ def test_weights_equal_kernel_eval_over_h_squared(view, with_fold):
 
 def test_a_target_has_the_same_bits_in_every_row_of_every_chunk(view):
     j = view.n_obs // 2
-    one = solve(view, view.t[j:j + 1], view.s[j:j + 1], H, DEFAULT_KERNEL)
+    one = solve(view, view.t[j:j + 1], view.s[j:j + 1], H)
     assert one.status[0] == 0
     for n in (2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1, 4 * CHUNK + 3):
-        sol = solve(view, np.full(n, view.t[j]), np.full(n, view.s[j]), H, DEFAULT_KERNEL)
+        sol = solve(view, np.full(n, view.t[j]), np.full(n, view.s[j]), H)
         for i in range(n):
             assert sol.beta[i].tobytes() == one.beta[0].tobytes()
             assert sol.evals[i].tobytes() == one.evals[0].tobytes()

@@ -8,7 +8,6 @@ from vcterm import (
     DEFAULT_KERNEL,
     Dataset,
     FitError,
-    Kernel,
     confidence_interval,
     fit_grid,
     kernel_eval,
@@ -19,7 +18,8 @@ from vcterm import (
 from vcterm import fit as fit_module
 from vcterm.bandwidth import cv_score, make_folds
 from vcterm.data import Subject
-from vcterm.fit import STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, FitPoint, standard_errors
+from vcterm.fit import (STATUS_EMPTY, STATUS_OK, STATUS_SINGULAR, FitPoint, normal_quantile,
+                        standard_errors)
 
 import oracles
 
@@ -143,21 +143,11 @@ def test_confidence_interval_argument_errors():
         confidence_interval(failed, n=100)
 
 
-def test_weight_scale_invariance():
-    # doubling the kernel normalizer rescales all weights and must not
-    # move the estimate or the sandwich
-    rng = np.random.default_rng(47)
-    data_a = oracles.make_tiny_dataset(rng, 9, 2)
-    base = Kernel()
-    scaled = Kernel(normalizer=3.0 * base.normalizer)
-    rng2 = np.random.default_rng(1)
-    t0, s0 = oracles.interior_target(data_a, rng2)
-    fit_a = local_fit(data_a, t0, s0, H_WIDE, base)
-    fit_b = local_fit(data_a, t0, s0, H_WIDE, scaled)
-    np.testing.assert_allclose(fit_b.beta_hat, fit_a.beta_hat, rtol=1e-12)
-    V_a = sandwich_variance(data_a, t0, s0, H_WIDE, base)
-    V_b = sandwich_variance(data_a, t0, s0, H_WIDE, scaled)
-    np.testing.assert_allclose(V_b, V_a, rtol=1e-10, atol=1e-14)
+@pytest.mark.parametrize("alpha", [1e-300, 1e-16])
+def test_alpha_whose_quantile_rounds_away_is_named(alpha):
+    # 1 - alpha/2 rounds to 1, where the normal quantile is infinite
+    with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r} is too small")):
+        normal_quantile(alpha)
 
 
 def test_censored_subjects_do_not_affect_fit():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from scipy.optimize import brentq
 
 import vcterm.simulate as simulate
 from vcterm.simulate import (
+    BLOCK_SUBJECTS,
+    MAX_CELLS,
+    NU_MIN,
     SimConfig,
     beta_value,
     covariate_covariance,
@@ -394,3 +398,42 @@ def test_rate_that_over_or_underflows_names_its_config_key(key, coefs, rate):
         gen_dataset(SimConfig(n=5, seed=0, **{key: coefs}))
     if rate is not None:
         assert f" is {rate} at X2=" in str(info.value)
+
+
+@pytest.mark.parametrize("nu", [1e-300, 1e-160])
+def test_nu_below_its_floor_is_rejected(nu):
+    # 1e-300 made the visit-time Beta draw divide by zero; at 1e-160 it drew NaN,
+    # which silently dropped every visit after the first
+    with pytest.raises(ValueError, match=re.escape(f"nu must be at least {NU_MIN:g}")):
+        SimConfig(n=50, seed=1, nu=nu)
+
+
+def test_nu_at_its_floor_keeps_every_visit():
+    ds, _ = gen_dataset(SimConfig(n=50, seed=1, nu=NU_MIN))
+    assert np.isfinite(ds.times).all()
+    assert ds.n_observations == 511  # as at the default nu; 1e-160 kept only 50
+
+
+def test_size_cap_holds_at_its_boundary():
+    # SimConfig alone: no config on the far side of the cap reaches gen_dataset
+    n = MAX_CELLS // 22  # draw arrays of n * (m + 2) numbers at m = 20
+    assert SimConfig(n=n).n == n
+    with pytest.raises(ValueError, match=f"at most {MAX_CELLS} are allowed"):
+        SimConfig(n=n + 1)
+    m = math.isqrt(MAX_CELLS // BLOCK_SUBJECTS) - 2  # a block of covariances, 32 * (m + 2)**2
+    assert SimConfig(n=1, m=m).m == m
+    with pytest.raises(ValueError, match=f"at most {MAX_CELLS} are allowed"):
+        SimConfig(n=1, m=m + 1)
+
+
+@pytest.mark.parametrize("overrides, keys", [
+    (dict(shift=1e300), "keys shift and truncation"),
+    (dict(error_var_params=(1e300, 1e300)), "key error_var_params"),
+    (dict(beta_mode="constant", constant_beta=(1e308, 1e308, 1e308)), "key constant_beta"),
+])
+def test_non_finite_responses_name_their_config_keys_without_a_warning(overrides, keys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=f"^config {keys}: the simulated responses are not finite"):
+            gen_dataset(SimConfig(n=20, seed=1, **overrides))

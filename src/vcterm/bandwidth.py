@@ -30,15 +30,6 @@ DEFAULT_H_GRID = (0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
-class FoldAssignment:
-    """Partition of complete-case subjects into k balanced folds."""
-
-    k: int
-    assignment: dict  # subject id -> fold index in [0, k)
-    seed: int
-
-
-@dataclass(frozen=True)
 class CVResult:
     h_grid: tuple
     scores: tuple
@@ -52,30 +43,37 @@ class CVResult:
     seed: int
 
 
-def make_folds(data: Dataset, k: int, seed: int) -> FoldAssignment:
-    """Uniform random balanced partition; censored subjects get no fold."""
-    ids = [i for i, e in zip(data.ids, data.event_observed) if e]
+def check_folds(k: int):
+    """ValueError unless k, the number of CV folds, is at least 2."""
     if k < 2:
         raise ValueError("need at least 2 folds")
-    if k > len(ids):
-        raise ValueError(f"cannot make {k} folds from {len(ids)} complete-case subjects")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ids))
-    assignment = {ids[perm[i]]: i % k for i in range(len(ids))}
-    return FoldAssignment(k=k, assignment=dict(assignment), seed=int(seed))
 
 
-def cv_score(data: Dataset, folds: FoldAssignment, h: float) -> tuple[float, float]:
-    """(score, excluded_fraction) for one bandwidth.
+def make_folds(data: Dataset, k: int, seed: int) -> np.ndarray:
+    """One fold per subject, in data.ids order: a uniform random balanced partition
+    of the complete-case subjects into folds 0 to k-1, and -1 for a censored one."""
+    cc = np.flatnonzero(data.event_observed)
+    check_folds(k)
+    if k > cc.size:
+        raise ValueError(f"cannot make {k} folds from {cc.size} complete-case subjects")
+    folds = np.full(data.n_subjects, -1)
+    folds[cc[np.random.default_rng(seed).permutation(cc.size)]] = np.arange(cc.size) % k
+    return folds
+
+
+def cv_score(data: Dataset, folds, h: float) -> tuple[float, float]:
+    """(score, excluded_fraction) for one bandwidth; folds as make_folds gives them.
 
     Held-out observations whose fit on the training folds fails are excluded
     from the average; if more than MAX_EXCLUDED_FRACTION are excluded the
     score is +inf. ValueError, naming h, when the squared errors overflow.
     """
+    if np.shape(folds) != (data.n_subjects,):
+        raise ValueError(f"folds must hold one entry per subject, not shape {np.shape(folds)}")
     view = View(data)
     if view.n_obs == 0:
         raise ValueError("no complete-case observations to cross-validate")
-    obs_fold = np.array([folds.assignment[sid] for sid in view.subject_ids])[view.subj]
+    obs_fold = np.asarray(folds)[data.event_observed][view.subj]
     h = float(h)
     # each held-out fit weighs only the other folds' observations: a sum over
     # the training set, never the full fit minus the own fold

@@ -181,16 +181,10 @@ def cmd_slice(args) -> int:
         raise DataError("--svg needs --out-dir")
     n_cc = dataset.n_complete_case
     normal_quantile(args.alpha)  # an invalid alpha fails before the fits
-    slices = []  # (T, number of points), in --T order
-    points = []
-    for T in args.T:
-        pts = GridSpec(slice_T=(T,), slice_t_step=args.t_step).eval_points()
-        if not pts:
-            raise DataError(f"slice T={T:g} leaves no interior points at step {args.t_step:g}")
-        slices.append((T, len(pts)))
-        points += pts
+    grid = GridSpec(slice_T=tuple(args.T), slice_t_step=args.t_step)
+    slices = list(zip(args.T, grid.slice_sizes()))  # (T, number of points), in --T order
     # one batch for every slice: the residual pass runs once
-    fits = iter(fit_grid(dataset, points, args.h))
+    fits = iter(fit_grid(dataset, grid.eval_points(), args.h))
     all_rows = []
     per_slice = {}  # a repeated T writes one file
     for T, count in slices:

@@ -137,7 +137,7 @@ def study_config_from_mapping(mapping: dict[str, str], seed_override: int | None
     try:
         return StudyConfig(sim=sim, grid=GridSpec(**values["grid"]),
                            cv=CvSettings(**values["cv"]), **values["study"])
-    except ValueError as exc:
+    except (ValueError, DataError) as exc:  # DataError: a slice with no points
         raise DataError(f"invalid study config: {exc}") from exc
 
 

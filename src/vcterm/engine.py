@@ -42,11 +42,11 @@ class View:
         cc = dataset.event_observed
         p = self.p = dataset.p
         self.n_subjects = int(np.count_nonzero(cc))
-        self.subject_ids = tuple(i for i, e in zip(dataset.ids, cc) if e)
         rows, counts = np.repeat(cc, dataset.counts), dataset.counts[cc]
         t = dataset.times[rows]
         order = np.argsort(t, kind="stable")
         self.t, self.n_obs = t[order], t.size
+        self.row = np.flatnonzero(rows)[order]  # each observation's Dataset row
         # residual lifetime at each visit; followup_end is the event time here
         self.s = np.repeat(dataset.followup_end[cc], counts)[order] - self.t
         self.X = dataset.covariates[rows][order]

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, candidate_grid,
+from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, candidate_grid, check_folds,
                         select_bandwidth, undersmoothing_factor)
 from .data import Dataset
 from .engine import check_bandwidth
@@ -32,6 +32,9 @@ PARTIAL_RECORDS = "records.partial.csv"
 RECORDS_FILE = "records.csv"
 SUMMARY_FILE = "summary.csv"
 METADATA_FILE = "metadata.json"
+
+MAX_GRID_POINTS = 2**16  # ample: the default slices, used by the bench and criterion 07, are 33
+MAX_REPLICATIONS = 10**5  # run_study spawns every replication's seed sequence up front
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,27 @@ class GridSpec:
         for name in ("slice_T", "slice_t_step", "rect_t", "rect_s", "points"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        if self.kind == "slices":
+            sizes = self.slice_sizes()
+            empty = [T for T, size in zip(self.slice_T, sizes) if size < 1]
+            if empty:
+                raise DataError(f"slice T={empty[0]:g} leaves no interior points at step "
+                                f"{self.slice_t_step:g}")
+        else:
+            sizes = [len(self.rect_t) * len(self.rect_s) if self.kind == "rect"
+                     else len(self.points)]
+        if sum(sizes) > MAX_GRID_POINTS:
+            raise ValueError(f"the grid has more than MAX_GRID_POINTS={MAX_GRID_POINTS} points")
+
+    def slice_sizes(self) -> list[int]:
+        """Points per slice, in slice_T order; a count past MAX_GRID_POINTS reads as one more."""
+        return [math.floor(min((float(T) - 1e-9) / self.slice_t_step, MAX_GRID_POINTS + 1))
+                for T in self.slice_T]
 
     def eval_points(self) -> list[tuple[float, float]]:
         if self.kind == "slices":
-            pts = []
-            for T in self.slice_T:
-                count = int(math.floor((float(T) - 1e-9) / self.slice_t_step))
-                for i in range(1, count + 1):
-                    t = i * self.slice_t_step
-                    pts.append((t, float(T) - t))
-            return pts
+            return [(i * self.slice_t_step, float(T) - i * self.slice_t_step)
+                    for T, n in zip(self.slice_T, self.slice_sizes()) for i in range(1, n + 1)]
         if self.kind == "rect":
             return [(float(t), float(s)) for t in self.rect_t for s in self.rect_s]
         return [(float(t), float(s)) for t, s in self.points]
@@ -78,6 +92,9 @@ class CvSettings:
     h_grid: tuple | None = None
     folds: int = DEFAULT_FOLDS
     seed: int = 0
+
+    def __post_init__(self):
+        check_folds(self.folds)
 
 
 @dataclass(frozen=True)
@@ -92,8 +109,8 @@ class StudyConfig:
     cv: CvSettings = field(default_factory=CvSettings)
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ValueError(f"replications must be from 1 to {MAX_REPLICATIONS}")
         if self.h_policy not in H_POLICIES:
             raise ValueError(f"h_policy must be one of {H_POLICIES}")
         if self.h_policy == "fixed":
@@ -106,8 +123,6 @@ class StudyConfig:
         # n^(-gamma) only grows as n falls, so every drawn cohort passes too
         undersmoothing_factor(self.sim.n, self.gamma)
         points = self.grid.eval_points()
-        if not points:
-            raise ValueError("the grid has no points: each slice_T must exceed slice_t_step")
         for t, s in points:
             if t < 0 or s < 0:
                 raise ValueError(f"grid point ({t}, {s}) leaves the first quadrant")

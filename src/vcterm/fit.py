@@ -46,20 +46,13 @@ class FitPoint:
 
 @dataclass
 class ResidualTable:
-    """Per-observation residuals at a fixed bandwidth, in pooled view order.
+    """Residuals at a fixed bandwidth, one per Dataset row, in the Dataset's row order.
 
-    Observations whose own local fit failed are flagged invalid and carry NaN.
+    Rows of censored subjects and rows whose own local fit failed are invalid and NaN.
     """
 
-    h: float
-    subject_ids: tuple
-    times: np.ndarray
     resid: np.ndarray
     valid: np.ndarray
-
-    @property
-    def n_invalid(self) -> int:
-        return int(self.valid.size - np.count_nonzero(self.valid))
 
 
 def _residuals(view: View, h: float, rows: np.ndarray, fold=None):
@@ -140,13 +133,13 @@ def residuals(data: Dataset, h: float) -> ResidualTable:
     """Residual of every complete-case observation against its own local fit.
 
     Each observation (i, j) is compared with x_ij' beta_hat(tau_ij, Ti - tau_ij)
-    at the same bandwidth.
+    at the same bandwidth; row r of the table is data's row r.
     """
     view = View(data)
-    resid, valid = _residuals(view, float(h), np.arange(view.n_obs))
-    ids = tuple(view.subject_ids[j] for j in view.subj)
-    return ResidualTable(h=float(h), subject_ids=ids, times=view.t.copy(),
-                         resid=resid, valid=valid)
+    table = ResidualTable(np.full(data.n_observations, np.nan),
+                          np.zeros(data.n_observations, dtype=bool))
+    table.resid[view.row], table.valid[view.row] = _residuals(view, h, np.arange(view.n_obs))
+    return table
 
 
 def sandwich_variance(data: Dataset, t0: float, s0: float, h: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 import vcterm.bandwidth as bw
 from vcterm import Dataset, NumericalError, select_bandwidth, undersmoothing_factor
-from vcterm.bandwidth import DEFAULT_H_GRID, FoldAssignment, cv_score, make_folds
+from vcterm.bandwidth import DEFAULT_H_GRID, cv_score, make_folds
 from vcterm.data import Subject
 
 import oracles
@@ -23,12 +23,12 @@ def test_make_folds_partitions_complete_cases():
     rng = np.random.default_rng(5)
     data = oracles.make_tiny_dataset(rng, 20, 2)
     folds = make_folds(data, k=4, seed=9)
-    cc_ids = {s.id for s in data.subjects if s.event_observed}
-    assert set(folds.assignment) == cc_ids
-    sizes = np.bincount(list(folds.assignment.values()), minlength=4)
+    assert folds.shape == (data.n_subjects,)
+    np.testing.assert_array_equal(folds < 0, ~data.event_observed)
+    assert set(folds[data.event_observed].tolist()) == {0, 1, 2, 3}
+    sizes = np.bincount(folds[data.event_observed], minlength=4)
     assert sizes.max() - sizes.min() <= 1
-    again = make_folds(data, k=4, seed=9)
-    assert again.assignment == folds.assignment
+    np.testing.assert_array_equal(make_folds(data, k=4, seed=9), folds)
 
 
 def test_make_folds_argument_errors():
@@ -43,9 +43,8 @@ def test_make_folds_argument_errors():
 def test_cv_score_matches_dense_two_fold_oracle():
     rng = np.random.default_rng(13)
     data = oracles.make_tiny_dataset(rng, 6, 2, all_complete=True)
-    ids = [s.id for s in data.subjects]
-    assignment = {sid: (0 if i < 3 else 1) for i, sid in enumerate(ids)}
-    folds = FoldAssignment(k=2, assignment=assignment, seed=0)
+    folds = np.array([0, 0, 0, 1, 1, 1])
+    assignment = dict(zip(data.ids, folds.tolist()))
     h = 4.0
 
     sq = []
@@ -96,8 +95,19 @@ def test_cv_score_ignores_censored_subjects():
                         s.followup_end, False)
                 for j, s in enumerate(extra.subjects)]
     bigger = Dataset(list(data.subjects) + censored, p=2)
-    assert make_folds(bigger, k=2, seed=1).assignment == folds.assignment
-    assert cv_score(bigger, folds, 3.0) == base
+    bigger_folds = make_folds(bigger, k=2, seed=1)
+    np.testing.assert_array_equal(bigger_folds, np.concatenate([folds, [-1] * 4]))
+    assert cv_score(bigger, bigger_folds, 3.0) == base
+    # a censored subject's entry is never read
+    assert cv_score(bigger, np.concatenate([folds, [0, 1, 0, 1]]), 3.0) == base
+
+
+def test_cv_score_needs_one_fold_per_subject():
+    data = oracles.make_tiny_dataset(np.random.default_rng(31), 8, 2)
+    folds = make_folds(data, k=2, seed=0)
+    for bad in (folds[:-1], folds[data.event_observed][:-1], folds[:, None]):
+        with pytest.raises(ValueError, match="one entry per subject"):
+            cv_score(data, bad, 3.0)
 
 
 def test_cv_score_invariant_to_id_relabeling():
@@ -109,10 +119,8 @@ def test_cv_score_invariant_to_id_relabeling():
     renamed = Dataset([Subject("r" + s.id, s.times, s.covariates, s.responses,
                                s.followup_end, s.event_observed)
                        for s in data.subjects], p=2)
-    folds2 = FoldAssignment(k=3, assignment={"r" + k: v for k, v
-                                             in folds.assignment.items()},
-                            seed=2)
-    assert cv_score(renamed, folds2, 3.0) == base
+    np.testing.assert_array_equal(make_folds(renamed, k=3, seed=2), folds)
+    assert cv_score(renamed, folds, 3.0) == base
 
 
 def test_undersmoothing_factor_frozen_values():
@@ -205,7 +213,7 @@ def test_cv_score_matches_dense_kfold_oracle(k):
     data = Dataset(list(data.subjects) + [far], p=2)
     folds = make_folds(data, k=k, seed=k)
     h = 1.5
-    want, want_excluded = oracles.dense_kfold_cv(data, folds.assignment, h)
+    want, want_excluded = oracles.dense_kfold_cv(data, dict(zip(data.ids, folds)), h)
     got, excluded = cv_score(data, folds, h)
     assert 0.0 < excluded <= bw.MAX_EXCLUDED_FRACTION
     assert excluded == want_excluded

@@ -155,17 +155,48 @@ EXTREME_VALUES = [
     ({"h_policy": "cv-once", "gamma": "1e308"}, 0, 3),
     ({"h_fixed": "5e-324"}, 0, 3),
     ({"h_fixed": "1e308"}, 0, 3),
-    ({"h_policy": "cv-once", "cv_folds": "1"}, 0, 2),
+    ({"h_policy": "cv-once", "cv_folds": "1"}, 0, 3),
     ({"h_policy": "cv-once", "cv_folds": "1000"}, 0, 2),
     ({"h_policy": "cv-once", "cv_h_grid": "1e-300"}, 0, 3),
     ({"points": "-1:5"}, 0, 3),
+    ({"grid": "slices", "slice_T": "0.5,8"}, 0, 3),
+    ({"grid": "slices", "slice_T": "1e300", "slice_t_step": "1e-300"}, 0, 3),
+    ({"grid": "slices", "slice_t_step": "1e-300"}, 0, 3),
+    ({"grid": "rect", "rect_t": ",".join(map(str, range(257))),
+      "rect_s": ",".join(map(str, range(1, 257)))}, 0, 3),
+    ({"replications": "1000000000000"}, 0, 3),
+    ({"h_policy": "cv-per-rep", "cv_folds": "1"}, 0, 3),
 ]
+
+
+@pytest.fixture
+def bounded_work(monkeypatch):
+    """Fail, rather than start, the building of a grid of more than 2**16 points or of
+    seed sequences for more than 10**5 replications."""
+    from vcterm import experiments
+
+    real_points = experiments.GridSpec.eval_points
+    real_seqs = experiments.replication_seed_sequences
+
+    def eval_points(grid):
+        size = len(grid.rect_t) * len(grid.rect_s) if grid.kind == "rect" else len(grid.points)
+        if grid.kind == "slices":
+            size = sum(min((float(T) - 1e-9) / grid.slice_t_step, 2.0**17) for T in grid.slice_T)
+        assert size <= 2**16, f"asked to build about {size:g} grid points"
+        return real_points(grid)
+
+    def seed_sequences(seed, replications):
+        assert replications <= 10**5, f"asked for {replications} seed sequences"
+        return real_seqs(seed, replications)
+
+    monkeypatch.setattr(experiments.GridSpec, "eval_points", eval_points)
+    monkeypatch.setattr(experiments, "replication_seed_sequences", seed_sequences)
 
 
 @pytest.mark.parametrize("values, sim_code, study_code", EXTREME_VALUES)
 @pytest.mark.parametrize("sub", ["simulate", "study"])
-def test_extreme_config_value_exits_with_a_documented_code(tmp_path, capsys, sub, values,
-                                                           sim_code, study_code):
+def test_extreme_config_value_exits_with_a_documented_code(tmp_path, capsys, bounded_work, sub,
+                                                           values, sim_code, study_code):
     cfg = tmp_path / "extreme.conf"
     cfg.write_text("".join(f"{key} = {value}\n"
                            for key, value in {**EXTREME_BASE, **values}.items()),
@@ -493,6 +524,17 @@ def test_nonfinite_inputs_are_usage_errors(noiseless_csv, capsys, argv):
     assert main(argv + ["--data", noiseless_csv]) == 2
     err_line = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err_line["code"] == 2
+
+
+@pytest.mark.parametrize("T, step", [("1e300", "1e-300"), ("8", "1e-300"), ("8", "1e-4")])
+def test_slice_grid_past_the_point_bound_is_usage_error(noiseless_csv, capsys, bounded_work,
+                                                        T, step):
+    assert main(["slice", "--data", noiseless_csv, "--T", T, "--t-step", step,
+                 "--h", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "the grid has more than MAX_GRID_POINTS=65536 points", "code": 2}
 
 
 @pytest.mark.parametrize("h_grid", ["abc", "1,,2", ""])

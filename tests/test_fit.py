@@ -81,15 +81,10 @@ def test_residuals_match_dense_oracle():
     rng = np.random.default_rng(37)
     data = oracles.make_tiny_dataset(rng, 8, 2, all_complete=True)
     table = residuals(data, H_WIDE)
-    assert table.n_invalid == 0
+    assert table.valid.all() and table.resid.shape == data.times.shape
     want_map = oracles.dense_residual_map(data, H_WIDE)
-    by_subject = {}
-    for sid, tau, r in zip(table.subject_ids, table.times, table.resid):
-        by_subject.setdefault(sid, []).append((tau, r))
-    for s in data.subjects:
-        got = sorted(by_subject[s.id])
-        for j, (tau, r) in enumerate(got):
-            assert r == pytest.approx(want_map[(s.id, j)], abs=1e-10)
+    want = [want_map[(s.id, j)] for s in data.subjects for j in range(s.n_visits)]
+    np.testing.assert_allclose(table.resid, want, atol=1e-10, rtol=0)
 
 
 def test_noiseless_constant_recovery_and_zero_residuals():
@@ -98,10 +93,23 @@ def test_noiseless_constant_recovery_and_zero_residuals():
     fit = local_fit(data, t0, s0, H_WIDE)
     np.testing.assert_allclose(fit.beta_hat, beta, atol=1e-10)
     table = residuals(data, H_WIDE)
-    assert table.n_invalid == 0
+    assert table.valid.all() and table.resid.shape == data.times.shape
     assert np.abs(table.resid).max() <= 1e-10
     V = sandwich_variance(data, t0, s0, H_WIDE)
     assert np.abs(V).max() <= 1e-16
+
+
+def test_residuals_mark_censored_rows_invalid():
+    rng = np.random.default_rng(41)
+    data = oracles.make_tiny_dataset(rng, 12, 2)
+    complete = np.repeat(data.event_observed, data.counts)
+    assert not complete.all()
+    table = residuals(data, H_WIDE)
+    np.testing.assert_array_equal(table.valid, complete)
+    assert np.isnan(table.resid[~complete]).all()
+    assert np.isfinite(table.resid[complete]).all()
+    only = Dataset([s for s in data.subjects if s.event_observed], p=2)
+    np.testing.assert_array_equal(table.resid[complete], residuals(only, H_WIDE).resid)
 
 
 def test_confidence_interval_frozen_values():
@@ -367,17 +375,17 @@ def test_in_place_edit_is_seen_by_the_next_fit():
 def test_residuals_bit_equal_to_pointwise_fits(h):
     data = _cohort()
     table = residuals(data, h)
-    by_id = {s.id: s for s in data.subjects}
+    end = np.repeat(data.followup_end, data.counts)
+    complete = np.repeat(data.event_observed, data.counts)
     checked = 0
-    for sid, tau, r, ok in zip(table.subject_ids, table.times, table.resid, table.valid):
-        s = by_id[sid]
-        j = int(np.flatnonzero(s.times == tau)[0])
-        fit = local_fit(data, tau, s.followup_end - tau, h)
+    for row in np.flatnonzero(complete):
+        tau, r, ok = data.times[row], table.resid[row], table.valid[row]
+        fit = local_fit(data, tau, end[row] - tau, h)
         assert ok == (fit.status == STATUS_OK)
         if ok:
-            assert r == s.responses[j] - s.covariates[j] @ fit.beta_hat
+            assert r == data.responses[row] - data.covariates[row] @ fit.beta_hat
             checked += 1
-    assert checked > 0.9 * table.resid.size
+    assert checked > 0.9 * np.count_nonzero(complete)
 
 
 def test_fit_grid_results_do_not_depend_on_the_batch():
@@ -443,11 +451,10 @@ def test_lazy_residuals_bit_equal_with_invalid_residuals():
     data, h = _cohort(), 0.4
     t, s = _visits(data)
     table = residuals(data, h)
-    bad = ~table.valid
+    bad = ~table.valid & np.repeat(data.event_observed, data.counts)
     assert bad.any()
-    end = {sub.id: sub.followup_end for sub in data.subjects}
-    bad_t = table.times[bad]
-    bad_s = np.array([end[sid] for sid, b in zip(table.subject_ids, bad) if b]) - bad_t
+    bad_t = data.times[bad]
+    bad_s = np.repeat(data.followup_end, data.counts)[bad] - bad_t
     grid = [(float(a), float(12.0 - a)) for a in range(1, 12)] + list(zip(t.tolist(), s.tolist()))
     ok = [fp for fp in fit_grid(data, grid, h) if fp.status == STATUS_OK]
     assert any((_kernel_weights(bad_t, bad_s, fp.t0, fp.s0, h) != 0).any() for fp in ok)

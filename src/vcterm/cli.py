@@ -121,7 +121,7 @@ def _load(args) -> Dataset:
     if report.rows_rejected or report.subjects_dropped:
         for diag in report.diagnostics[:20]:
             print(f"warning: {diag}", file=sys.stderr)
-        extra = len(report.diagnostics) - 20
+        extra = report.n_diagnostics - 20
         if extra > 0:
             print(f"warning: ... and {extra} more", file=sys.stderr)
     print(

@@ -4,13 +4,17 @@ Every fit is a batch of targets (t0, s0) handed to `solve`, weighed by the
 estimator's one kernel, DEFAULT_KERNEL. Observations sit in square cells of
 side reach = truncation_radius * h, so each kernel disk lies in the 3 x 3
 cells around its target's cell (the fixed-radius near-neighbour cell list of
-Bentley, Stanat & Williams, 1977). Per cell, the targets go in slabs of at
-most 2 * CHUNK: one kernel evaluation per slab fills a slab x candidates
-weight block W in place, in two buffers reused across the cell's slabs. W
-then multiplies the stacked features [vec(x x'), x y] of the cell's
-candidates CHUNK rows at a time, a partial last chunk zero-padded to CHUNK
-rows. The fixed GEMM height and per-cell candidate sets keep each target's
-bits independent of the batch.
+Bentley, Stanat & Williams, 1977). One vectorised search per pass finds each
+target cell's candidates, and the cells go in batches of about BATCH
+candidates, whose coordinates and features are gathered once. Per cell, the
+targets go in slabs of at most 2 * CHUNK. A slab's offsets (and in a CV pass
+its fold differences) are one matrix product per plane that gives the bits of
+np.subtract (see _offset_factors); one kernel evaluation turns them into a
+slab x candidates weight block W in place, in a buffer reused over the pass,
+and the disk mask it leaves counts each target's weights. W then multiplies
+the stacked features [vec(x x'), x y] of the cell's candidates CHUNK rows at
+a time, a partial last chunk zero-padded to CHUNK rows. The fixed GEMM height
+and per-cell candidate sets keep each target's bits independent of the batch.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ STATUSES = (STATUS_OK, STATUS_SINGULAR, STATUS_EMPTY)  # indexed by status code
 RCOND_MIN = 1e-12
 
 CHUNK = 8  # rows per GEMM
+BATCH = 512  # candidates gathered at once, a bound on a pass's working arrays
 
 
 class View:
@@ -62,12 +67,10 @@ class View:
 Solution = namedtuple("Solution", "beta n_eff status evals evecs")
 
 
-def _blocks(view: View, t0, s0, h: float, fold):
-    """Yield (rows, cand, W, F[cand]) per slab; W[r, c] weighs observation cand[c]
-    at target rows[r], and is zero when fold[0][rows[r]] == fold[1][cand[c]].
-    W lives in a buffer that the next slab overwrites."""
-    if view.n_obs == 0:
-        return
+def _lattice(view: View, t0, s0, h: float):
+    """(order, by_cell, first, starts, n): the targets by_cell[first[g]:first[g + 1]]
+    share lattice cell g, whose candidates are the observations order[starts[g, d]:
+    starts[g, d] + n[g, d]] of strips d = 0, 1, 2 of its 3 x 3 neighbourhood."""
     lo_t, lo_s = view.t.min(), view.s.min()
     # a hair wider than reach, so rounding cannot put a disk point two cells
     # away; at most 2**20 cells per axis, so a tiny h cannot overflow the keys
@@ -84,31 +87,77 @@ def _blocks(view: View, t0, s0, h: float, fold):
     b = np.clip(np.floor((s0 - lo_s) / side), -2, ns + 1).astype(np.intp)
     tkeys = (a + 2) * (ns + 4) + (b + 2)
     by_cell = np.argsort(tkeys, kind="stable")
-    hh, slab = h * h, 2 * CHUNK
-    for group in np.split(by_cell, np.flatnonzero(np.diff(tkeys[by_cell])) + 1):
-        ga, gb = a[group[0]], b[group[0]]
-        rows3 = np.arange(max(ga - 1, 0), min(ga + 1, nt - 1) + 1) * ns
-        lo, hi = max(gb - 1, 0), min(gb + 1, ns - 1)
-        starts = np.searchsorted(keys, rows3 + lo, side="left")
-        ends = np.searchsorted(keys, rows3 + hi, side="right")
-        cand = np.concatenate([order[i:j] for i, j in zip(starts, ends)] or [order[:0]])
-        if cand.size == 0:
-            continue
-        tc, sc, Fc = view.t[cand], view.s[cand], view.F[cand]
-        fc = None if fold is None else fold[1][cand]
-        ubuf, vbuf = np.empty((2, min(group.size, slab), cand.size))
-        for k in range(0, group.size, slab):
-            rows = group[k:k + slab]
-            u, v = ubuf[:rows.size], vbuf[:rows.size]
-            np.subtract(tc, t0[rows, None], out=u)
-            u /= h
-            np.subtract(sc, s0[rows, None], out=v)
-            v /= h
-            W = _weigh(DEFAULT_KERNEL, u, v)
-            W /= hh
-            if fc is not None:
-                W *= np.not_equal(fold[0][rows, None], fc, out=v)
-            yield rows, cand, W, Fc
+    first = np.flatnonzero(np.r_[True, np.diff(tkeys[by_cell]) != 0])
+    head = by_cell[first]
+    strip = (a[head, None] + np.arange(-1, 2)) * ns  # a strip outside the lattice holds no keys
+    starts = np.searchsorted(keys, strip + np.maximum(b[head, None] - 1, 0))
+    ends = np.searchsorted(keys, strip + np.minimum(b[head, None] + 1, ns - 1), side="right")
+    return order, by_cell, np.r_[first, t0.size], starts, ends - starts
+
+
+def _offset_factors(x0, xc):
+    """(A, B) with A[q, i] = [1, -x0[q][i]] and B[q, :, c] = [xc[q][c], 1], so that
+    (A @ B)[q, i, c] = xc[q][c] - x0[q][i]. Both products in an entry are exact, so
+    the entry is the one rounding that np.subtract makes, up to the sign of a zero,
+    and two integers below 2**53 give a zero entry only when they are equal."""
+    A, B = np.ones((len(x0), len(x0[0]), 2)), np.ones((len(xc), 2, len(xc[0])))
+    for q, (a, b) in enumerate(zip(x0, xc)):
+        np.negative(a, out=A[q, :, 1])
+        B[q, 0] = b
+    return A, B
+
+
+def _moments(view: View, t0, s0, h: float, fold, weights):
+    """(mom, n_eff): each target's kernel-weighted feature sums W @ F and its count of
+    nonzero weights. A weight is zero when fold[0][target] == fold[1][observation]."""
+    mom = np.zeros((t0.size, view.F.shape[1]))
+    n_eff = np.zeros(t0.size, dtype=np.intp)
+    if view.n_obs == 0 or t0.size == 0:
+        return mom, n_eff
+    order, by_cell, first, starts, n = _lattice(view, t0, s0, h)
+    # candidate k of range r is order[k + skip[r]]; cell g's run from cut[g] to cut[g + 1]
+    skip = (starts - np.cumsum(n).reshape(n.shape) + n).ravel()
+    cut = np.r_[0, np.cumsum(n.sum(axis=1))]
+    # the cells go in batches of about BATCH candidates, whose offset factors and
+    # features are gathered once
+    edges = [0, *(np.flatnonzero(np.diff(cut[:-1] // BATCH)) + 1).tolist(), len(cut) - 1]
+    # planes of offsets: t, s and, in a fold pass, the fold difference
+    x0, xc = (t0, s0), (view.t, view.s)
+    if fold is not None:
+        x0, xc = x0 + (fold[0],), xc + (fold[1],)
+    hh, slab, widest = h * h, 2 * CHUNK, int(np.diff(cut).max())
+    buf, ones = np.empty(len(x0) * slab * widest), np.ones(widest)
+    n, first, cut = n.ravel(), first.tolist(), cut.tolist()
+    for g0, g1 in zip(edges[:-1], edges[1:]):
+        lo, targets = cut[g0], by_cell[first[g0]:first[g1]]
+        cand_b = order[np.arange(lo, cut[g1]) + np.repeat(skip[3 * g0:3 * g1], n[3 * g0:3 * g1])]
+        A, B = _offset_factors([x[targets] for x in x0], [x[cand_b] for x in xc])
+        F = view.F[cand_b]
+        for g in range(g0, g1):
+            i, j = cut[g] - lo, cut[g + 1] - lo
+            if i == j:
+                continue
+            cand, Fc, Bg = cand_b[i:j], F[i:j], B[:, :, i:j]
+            for k in range(first[g] - first[g0], first[g + 1] - first[g0], slab):
+                rows = targets[k:k + slab]
+                P = buf[:len(x0) * rows.size * cand.size].reshape(-1, rows.size, cand.size)
+                np.matmul(A[:, k:k + rows.size], Bg, out=P)
+                P[:2] /= h
+                W = _weigh(DEFAULT_KERNEL, P[0], P[1])  # P[1] is now 1.0 inside the disk
+                W /= hh
+                if fold is not None:
+                    keep = np.not_equal(P[2], 0.0, out=P[2])
+                    W *= keep
+                    P[1] *= keep
+                n_eff[rows] = P[1] @ ones[:cand.size]
+                if weights is not None:
+                    weights.update((r, (cand[w != 0], w[w != 0])) for r, w in zip(rows, W))
+                if rows.size % CHUNK:  # a partial last chunk is zero-padded to CHUNK rows
+                    W = np.vstack([W, np.zeros((-rows.size % CHUNK, cand.size))])
+                # one GEMM of CHUNK rows per chunk, whatever the number of chunks
+                chunks = np.matmul(W.reshape(-1, CHUNK, cand.size), Fc)
+                mom[rows] = chunks.reshape(-1, Fc.shape[1])[:rows.size]
+    return mom, n_eff
 
 
 def check_bandwidth(h: float):
@@ -137,22 +186,11 @@ def solve(view: View, t0, s0, h: float, fold=None,
     if not (np.isfinite(t0).all() and np.isfinite(s0).all()):
         raise ValueError("target points must be finite")
     p, B = view.p, t0.size
-    mom = np.zeros((B, p * p + p))
-    n_eff = np.zeros(B, dtype=np.intp)
     # an offset or target cell that overflows lies far outside every disk and
     # weighs zero; past check_bandwidth, only a moment sum can overflow, or be
     # NaN where a zero weight meets an infinite feature
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, cand, W, Fc in _blocks(view, t0, s0, h, fold):
-            for k in range(0, rows.size, CHUNK):
-                block = W[k:k + CHUNK]
-                if block.shape[0] < CHUNK:
-                    block = np.zeros((CHUNK, cand.size))
-                    block[:rows.size - k] = W[k:]
-                mom[rows[k:k + CHUNK]] = (block @ Fc)[:rows.size - k]
-            n_eff[rows] = np.count_nonzero(W, axis=1)
-            if weights is not None:
-                weights.update((r, (cand[w != 0], w[w != 0])) for r, w in zip(rows, W))
+        mom, n_eff = _moments(view, t0, s0, h, fold, weights)
     if not np.isfinite(mom).all():
         raise ValueError(f"the kernel moments overflow at bandwidth h={h!r}: h is too small "
                          "or the covariates and responses too large")

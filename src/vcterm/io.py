@@ -58,10 +58,12 @@ class IngestionReport:
     subjects_in: int = 0
     subjects_kept: int = 0
     subjects_dropped: int = 0
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list = field(default_factory=list)  # the first MAX_DIAGNOSTICS, in order
+    n_diagnostics: int = 0  # all of them
 
 
 BLOCK_ROWS = 512  # rows parsed per block; only one block's strings are alive at once
+MAX_DIAGNOSTICS = 100  # diagnostic messages kept; the report counts every one
 _FLAGS = {"0": 0, "1": 1}  # event_observed text, stripped -> flag; any other reads -1
 
 
@@ -103,8 +105,9 @@ class _Columns:
                                                if c.startswith(COVARIATE_PREFIX)]
         self.cols = [where[c] for c in self.names]
         self.index = {None: -1, "": -1}  # subject id -> code, in order of first appearance
-        # per-row arrays of each block; row diagnostics in file order; their lines
-        self.blocks, self.notes, self.noted = [], [], []
+        # per-row arrays of each block; the first row diagnostics in file order, their
+        # lines, and the count of all of them
+        self.blocks, self.notes, self.noted, self.n_notes = [], [], [], 0
 
     def block(self, lines, rows):
         """Parse rows read at these line numbers; each row keeps its first failing check."""
@@ -132,6 +135,8 @@ class _Columns:
         fails = np.array([c[0] for c in checks])
         first = np.where(fails.any(axis=0), fails.argmax(axis=0), len(checks))
         rejected = np.flatnonzero(first < len(checks))
+        self.n_notes += rejected.size
+        rejected = rejected[:max(MAX_DIAGNOSTICS - len(self.notes), 0)]
         for i in rejected.tolist():
             _, note, name, quoted = checks[first[i]]
             self.notes.append(f"line {lines[i]}: " + note.format(name, quoted[i]))
@@ -163,11 +168,13 @@ class _Columns:
                                 f"({float(self.fup[code[i]])!r} -> {float(fup[i])!r})")
             raise DataError(f"{where}: event_observed changed within subject {sid!r}")
         nonpositive = seeds[fup[seeds] <= 0]
+        self.n_notes += nonpositive.size
+        bad_fup = np.sort(line[nonpositive])[:MAX_DIAGNOSTICS]
         texts = [f"line {ln}: followup_end must be positive"
-                 for ln in line[nonpositive].tolist()] + self.notes
+                 for ln in bad_fup.tolist()] + self.notes
         # by line, and on one line the follow-up note before the row's own
-        order = np.argsort(np.concatenate([line[nonpositive], *self.noted]), kind="stable")
-        self.notes = [texts[i] for i in order.tolist()]
+        order = np.argsort(np.concatenate([bad_fup, *self.noted]), kind="stable")
+        self.notes = [texts[i] for i in order[:MAX_DIAGNOSTICS].tolist()]
         self.bad = np.bincount(code[stage == 1], minlength=n) > 0
         self.bad[code[nonpositive]] = True
 
@@ -191,8 +198,17 @@ class _Columns:
         keep = start & ~negative & ~late
         kept = np.bincount(code[keep], minlength=n)
         empty = np.flatnonzero(~self.bad & (kept == 0))
-        notes = []
-        for i in np.flatnonzero(~keep).tolist():
+        # per subject its visit rejections in time order, then its drop note
+        rejected = np.flatnonzero(~keep)
+        report.n_diagnostics = self.n_notes + rejected.size + empty.size
+        order = np.lexsort((np.r_[rejected, np.full(empty.size, t.size)],
+                            np.r_[code[rejected], empty]))
+        for k in order[:MAX_DIAGNOSTICS - len(report.diagnostics)].tolist():
+            if k >= rejected.size:
+                report.diagnostics.append(
+                    f"subject {ids[empty[k - rejected.size]]!r}: no valid visits left, dropped")
+                continue
+            i = rejected[k]
             ti = float(t[i])
             if negative[i]:
                 note = f"negative visit_time {ti!r}"
@@ -200,10 +216,7 @@ class _Columns:
                 note = f"visit_time {ti!r} after followup_end {float(fup[i])!r}"
             else:
                 note = f"duplicate visit_time {ti!r} (first at line {first_line[i]})"
-            notes.append((code[i], i, f"line {line[i]}: {note}"))
-        notes += [(c, t.size, f"subject {ids[c]!r}: no valid visits left, dropped")
-                  for c in empty.tolist()]
-        report.diagnostics += [m for _, _, m in sorted(notes)]
+            report.diagnostics.append(f"line {line[i]}: {note}")
         report.rows_kept = int(np.count_nonzero(keep))
         report.rows_rejected += t.size - report.rows_kept
         report.subjects_dropped = int(np.count_nonzero(self.bad)) + empty.size

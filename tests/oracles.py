@@ -17,8 +17,8 @@ from scipy.stats import chi2
 
 from vcterm.data import Dataset, Subject
 from vcterm.errors import DataError, NumericalError
-from vcterm.io import (COVARIATE_PREFIX, REQUIRED_COLUMNS, IngestionReport, apply_transform,
-                       fmt_cell)
+from vcterm.io import (COVARIATE_PREFIX, MAX_DIAGNOSTICS, REQUIRED_COLUMNS, IngestionReport,
+                       apply_transform, fmt_cell)
 
 # radius of the 95% disk of the standard bivariate normal
 RADIUS_SQ = float(chi2.ppf(0.95, df=2))
@@ -358,6 +358,8 @@ def reference_load_csv(path: str, transform: str = "none"):
         report.rows_kept += len(kept)
 
     dataset = Dataset(subjects, p=1 + len(x_cols))
+    report.n_diagnostics = len(report.diagnostics)
+    del report.diagnostics[MAX_DIAGNOSTICS:]  # load_csv keeps the first ones and a count
     return dataset, report
 
 

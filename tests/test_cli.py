@@ -221,6 +221,19 @@ def test_fit_alpha_whose_quantile_rounds_away_is_a_usage_error(noiseless_csv, ca
         "error": "alpha=1e-300 is too small: 1 - alpha/2 rounds to 1", "code": 2}
 
 
+def test_load_warnings_print_twenty_and_count_the_rest(noiseless_csv, tmp_path, capsys):
+    """250 rejected rows past the stored MAX_DIAGNOSTICS: the last warning line counts
+    every message that was not printed."""
+    with open(noiseless_csv, encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "bad.csv"
+    path.write_text(text + "".join(f"bad{i},x,1,5,1\n" for i in range(250)), encoding="utf-8")
+    assert main(["fit", "--data", str(path), "--t0", "1", "--s0", "6", "--h", "3"]) == 0
+    warned = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warned) == 21
+    assert warned[-1] == "warning: ... and 480 more"  # 250 rows, 250 subjects dropped
+
+
 def test_fit_recovers_constant_coefficients(noiseless_csv, capsys):
     rc = main(["fit", "--data", noiseless_csv, "--t0", "1", "--s0", "6",
                "--h", "3"])

@@ -176,6 +176,31 @@ def test_subject_with_no_valid_rows_dropped(tmp_path):
     assert any("no valid visits" in d for d in report.diagnostics)
 
 
+def test_diagnostics_of_a_hostile_file_are_counted_and_bounded(tmp_path):
+    """20,000 rejected rows of 100 subjects: the report counts all 20,100 messages and
+    keeps the first MAX_DIAGNOSTICS of them, so memory does not grow with their count."""
+    import tracemalloc
+
+    n = 20_000
+    path = tmp_path / "hostile.csv"
+    path.write_text("subject_id,visit_time,response,followup_end,event_observed\n"
+                    + "".join(f"s{i // 200},abc,1.0,5.0,1\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        dataset, report = vcterm_io.load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.n_subjects == 0 and report.rows_rejected == n
+    assert report.n_diagnostics == n + 100
+    assert len(report.diagnostics) == vcterm_io.MAX_DIAGNOSTICS == 100
+    assert report.diagnostics[:2] == ["line 2: visit_time 'abc' is not numeric",
+                                      "line 3: visit_time 'abc' is not numeric"]
+    assert report.diagnostics[-1] == "line 101: visit_time 'abc' is not numeric"
+    # 280 bytes per row when every message was kept; the per-row arrays are about 130
+    assert peak < 200 * n
+
+
 def test_intercept_injected_and_p_inferred(tmp_path):
     body = "a,1.0,2.0,5.0,1,0.5\n"
     ds, _ = load_csv(_write(tmp_path, body))

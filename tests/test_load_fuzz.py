@@ -110,6 +110,28 @@ def test_load_csv_matches_reference_loader(text, transform, block_rows):
             vcterm_io.BLOCK_ROWS = saved
 
 
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(csv_text(), st.sampled_from([0, 1, 2, 5]), st.sampled_from([1, 2, vcterm_io.BLOCK_ROWS]))
+def test_a_small_diagnostics_cap_keeps_the_first_ones_and_counts_all(text, cap, block_rows):
+    """The stored messages are the first `cap` of the reference loader's, in its order,
+    and n_diagnostics counts every one, across blocks and the follow-up checks."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        full = _outcome(oracles.reference_load_csv, path, "none")
+        mp.setattr(vcterm_io, "BLOCK_ROWS", block_rows)
+        mp.setattr(vcterm_io, "MAX_DIAGNOSTICS", cap)
+        mp.setattr(oracles, "MAX_DIAGNOSTICS", cap)
+        expected = _outcome(oracles.reference_load_csv, path, "none")
+        assert _outcome(load_csv, path, "none") == expected
+    if expected[0] == "ok":
+        report, whole = expected[-1], full[-1]
+        assert report["diagnostics"] == whole["diagnostics"][:cap]
+        assert report["n_diagnostics"] == whole["n_diagnostics"] == len(whole["diagnostics"])
+
+
 def _read_error_file(tmp_path, first_rows):
     """Rows, then a byte that is not UTF-8 one text-decoder chunk later."""
     body = first_rows + "".join(f"s{i},1.0,2.0,5.0,1\n" for i in range(800))

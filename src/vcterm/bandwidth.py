@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .engine import View, check_bandwidth
+from .engine import CHUNK, View, check_bandwidth, visits_per_cell
 from .fit import _residuals
 
 DEFAULT_GAMMA = 1.0 / 20.0
@@ -73,12 +73,12 @@ def cv_score(data: Dataset, folds, h: float) -> tuple[float, float]:
     view = View(data)
     if view.n_obs == 0:
         raise ValueError("no complete-case observations to cross-validate")
-    obs_fold = np.asarray(folds)[data.event_observed][view.subj]
-    h = float(h)
-    # each held-out fit weighs only the other folds' observations: a sum over
-    # the training set, never the full fit minus the own fold
+    folds, h = np.asarray(folds), float(h)
+    k = len(set(folds[data.event_observed].tolist()))
+    # with k folds, per-fold passes pay from CHUNK * k**2 visits per cell on
+    per_fold = visits_per_cell(view, h) >= CHUNK * k * k
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
-        resid, valid = _residuals(view, h, np.arange(view.n_obs), fold=obs_fold)
+        resid, valid = _held_out_residuals(data, view, folds, h, per_fold)
         err = resid[valid]
         excluded_fraction = (view.n_obs - err.size) / view.n_obs
         if excluded_fraction > MAX_EXCLUDED_FRACTION or not err.size:
@@ -92,6 +92,19 @@ def cv_score(data: Dataset, folds, h: float) -> tuple[float, float]:
         raise ValueError(f"the CV score overflows at bandwidth h={h!r}: "
                          "the responses are too large")
     return score, excluded_fraction
+
+
+def _held_out_residuals(data: Dataset, view: View, folds, h: float, per_fold: bool):
+    """(resid, valid) of View(data) from sums over the other folds, never full fits minus the own
+    fold: one pass that zeroes own-fold weights or, per_fold, one per fold on the training View."""
+    obs_fold = folds[data.event_observed][view.subj]
+    if not per_fold:
+        return _residuals(view, h, np.arange(view.n_obs), fold=obs_fold)
+    resid, valid = np.full(view.n_obs, np.nan), np.zeros(view.n_obs, dtype=bool)
+    for f in set(obs_fold.tolist()):
+        r, v = _residuals(view, h, np.flatnonzero(obs_fold == f), train=View(data, folds != f))
+        resid[v], valid[v] = r[v], True
+    return resid, valid
 
 
 def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:

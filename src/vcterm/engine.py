@@ -40,11 +40,12 @@ BATCH = 512  # candidates gathered at once, a bound on a pass's working arrays
 
 
 class View:
-    """Complete-case observations sorted by visit time, with stacked features F.
+    """Complete-case observations sorted by visit time, with stacked features F, of the
+    subjects where the mask `subjects` is True (all if None; row still indexes dataset).
     A copy of the Dataset columns, built afresh by each fit or CV call."""
 
-    def __init__(self, dataset: Dataset):
-        cc = dataset.event_observed
+    def __init__(self, dataset: Dataset, subjects=None):
+        cc = dataset.event_observed if subjects is None else dataset.event_observed & subjects
         p = self.p = dataset.p
         self.n_subjects = int(np.count_nonzero(cc))
         rows, counts = np.repeat(cc, dataset.counts), dataset.counts[cc]
@@ -67,19 +68,30 @@ class View:
 Solution = namedtuple("Solution", "beta n_eff status evals evecs")
 
 
-def _lattice(view: View, t0, s0, h: float):
-    """(order, by_cell, first, starts, n): the targets by_cell[first[g]:first[g + 1]]
-    share lattice cell g, whose candidates are the observations order[starts[g, d]:
-    starts[g, d] + n[g, d]] of strips d = 0, 1, 2 of its 3 x 3 neighbourhood."""
+def _cells(view: View, h: float):
+    """(lo_t, lo_s, side, nt, ns, keys): the lattice origin, cell side and cells per axis at
+    h, and each observation's cell key. The side is a hair over reach, so rounding cannot put
+    a disk point two cells away, and at least the data's span / 2**20, so no key overflows."""
     lo_t, lo_s = view.t.min(), view.s.min()
-    # a hair wider than reach, so rounding cannot put a disk point two cells
-    # away; at most 2**20 cells per axis, so a tiny h cannot overflow the keys
     side = (1.0 + 1e-6) * max(DEFAULT_KERNEL.truncation_radius * h,
                               max(np.ptp(view.t), np.ptp(view.s)) / 2**20)
     ci = np.floor((view.t - lo_t) / side).astype(np.intp)
     cj = np.floor((view.s - lo_s) / side).astype(np.intp)
     nt, ns = int(ci.max()) + 1, int(cj.max()) + 1
-    keys = ci * ns + cj
+    return lo_t, lo_s, side, nt, ns, ci * ns + cj
+
+
+def visits_per_cell(view: View, h: float) -> float:
+    """The mean number of observations in an occupied lattice cell at bandwidth h."""
+    keys = _cells(view, h)[-1]
+    return view.n_obs / (1 + np.count_nonzero(np.diff(keys[np.argsort(keys, kind="stable")])))
+
+
+def _lattice(view: View, t0, s0, h: float):
+    """(order, by_cell, first, starts, n): the targets by_cell[first[g]:first[g + 1]]
+    share lattice cell g, whose candidates are the observations order[starts[g, d]:
+    starts[g, d] + n[g, d]] of strips d = 0, 1, 2 of its 3 x 3 neighbourhood."""
+    lo_t, lo_s, side, nt, ns, keys = _cells(view, h)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # target cells beyond the data are clipped to one with no data neighbours

@@ -55,11 +55,11 @@ class ResidualTable:
     valid: np.ndarray
 
 
-def _residuals(view: View, h: float, rows: np.ndarray, fold=None):
-    """(resid, valid) over all observations: NaN unless in the sorted rows with an ok own fit.
-    fold, one per observation, zeroes each own fit's weights on its own fold (for CV)."""
+def _residuals(view: View, h: float, rows: np.ndarray, fold=None, train: View | None = None):
+    """(resid, valid) over all observations: NaN unless in the sorted rows with an ok own fit,
+    which weighs train (view if None) and, given a fold per observation, not its own fold."""
     fold = None if fold is None else (fold[rows], fold)
-    sol = solve(view, view.t[rows], view.s[rows], h, fold=fold)
+    sol = solve(view if train is None else train, view.t[rows], view.s[rows], h, fold=fold)
     ok = sol.status == 0
     valid = np.zeros(view.n_obs, dtype=bool)
     valid[rows[ok]] = True

@@ -88,11 +88,13 @@ def _numbers(cells, padded: bool):
 
 
 class _Columns:
-    """A long-format CSV parsed block by block into per-row arrays.
+    """A long-format CSV parsed block by block; only the rows that parsed are kept.
 
     A row's stage is 0 for an empty subject_id, 1 for a bad followup_end or
     event_observed (its subject is dropped), 2 for a bad visit_time,
-    response or covariate, and 3 when it parsed.
+    response or covariate, and 3 when it parsed. Each subject's follow-up and
+    flag come from its first row of stage 2 or more, its seed; a later such row
+    that changes either is a fatal error, found as its block arrives.
     """
 
     def __init__(self, path, header):
@@ -105,9 +107,13 @@ class _Columns:
                                                if c.startswith(COVARIATE_PREFIX)]
         self.cols = [where[c] for c in self.names]
         self.index = {None: -1, "": -1}  # subject id -> code, in order of first appearance
-        # per-row arrays of each block; the first row diagnostics in file order, their
+        # per subject code: the seed's follow-up, flag and line (0 before it has one), and
+        # whether it is dropped (from a stage-1 row, until finish); grown by doubling
+        self.fup, self.flag = np.empty(0), np.empty(0, np.int8)
+        self.seed, self.bad = np.empty(0, np.intp), np.empty(0, bool)
+        # the parsed rows of each block; the first row diagnostics in file order, their
         # lines, and the count of all of them
-        self.blocks, self.notes, self.noted, self.n_notes = [], [], [], 0
+        self.n_rows, self.blocks, self.notes, self.noted, self.n_notes = 0, [], [], [], 0
 
     def block(self, lines, rows):
         """Parse rows read at these line numbers; each row keeps its first failing check."""
@@ -144,21 +150,18 @@ class _Columns:
         self.noted.append(line[rejected])
         stage = np.searchsorted([1, 4, len(checks)], first, side="right").astype(np.int8)
         fup, t, y, *x = (numbers[self.cols[k]][0] for k in numeric)
-        self.blocks.append((line, code, stage, flag, fup, t, y,
-                            np.column_stack(x) if x else np.empty((B, 0))))
-
-    def check(self):
-        """Each subject's follow-up and flag come from its first row where both
-        are valid; a later row that changes either is a fatal error."""
-        line, code, stage, flag, fup, t, y, x = self.rows = [
-            np.concatenate(c) for c in zip(*self.blocks)]
-        n = len(self.index) - 2
+        n, self.n_rows = len(self.index) - 2, self.n_rows + B
+        if n > self.seed.size:
+            self.fup, self.flag, self.seed, self.bad = (
+                np.r_[a, np.full(2 * n - a.size, fill, a.dtype)] for a, fill in
+                ((self.fup, np.nan), (self.flag, 0), (self.seed, 0), (self.bad, False)))
+        self.bad[code[stage == 1]] = True
         valid = np.flatnonzero(stage >= 2)
-        _, at = np.unique(code[valid], return_index=True)
-        seeds = valid[at]
-        self.fup, self.flag = np.full(n, np.nan), np.zeros(n, np.int8)
-        self.fup[code[seeds]], self.flag[code[seeds]] = fup[seeds], flag[seeds]
         vc = code[valid]
+        first_valid = valid[np.unique(vc, return_index=True)[1]]
+        new = first_valid[self.seed[code[first_valid]] == 0]
+        self.fup[code[new]], self.flag[code[new]] = fup[new], flag[new]
+        self.seed[code[new]] = line[new]
         off = np.flatnonzero((fup[valid] != self.fup[vc]) | (flag[valid] != self.flag[vc]))
         if off.size:
             i = valid[off[0]]
@@ -167,37 +170,40 @@ class _Columns:
                 raise DataError(f"{where}: followup_end changed within subject {sid!r} "
                                 f"({float(self.fup[code[i]])!r} -> {float(fup[i])!r})")
             raise DataError(f"{where}: event_observed changed within subject {sid!r}")
-        nonpositive = seeds[fup[seeds] <= 0]
+        ok = stage == 3
+        self.blocks.append((line[ok], code[ok], t[ok], y[ok],
+                            np.column_stack(x)[ok] if x else np.empty((ok.sum(), 0))))
+
+    def finish(self, transform: str) -> tuple[Dataset, IngestionReport]:
+        """Drop the subjects with a stage-1 row or a follow-up that is not positive,
+        reject negative, late and repeated visit times, then build the cohort."""
+        ids, n = list(self.index)[2:], len(self.index) - 2
+        seed_fup, seed_flag, bad = self.fup[:n], self.flag[:n], self.bad[:n]
+        nonpositive = np.flatnonzero(seed_fup <= 0)
+        bad[nonpositive] = True
         self.n_notes += nonpositive.size
-        bad_fup = np.sort(line[nonpositive])[:MAX_DIAGNOSTICS]
+        bad_fup = np.sort(self.seed[nonpositive])[:MAX_DIAGNOSTICS]
         texts = [f"line {ln}: followup_end must be positive"
                  for ln in bad_fup.tolist()] + self.notes
         # by line, and on one line the follow-up note before the row's own
         order = np.argsort(np.concatenate([bad_fup, *self.noted]), kind="stable")
-        self.notes = [texts[i] for i in order[:MAX_DIAGNOSTICS].tolist()]
-        self.bad = np.bincount(code[stage == 1], minlength=n) > 0
-        self.bad[code[nonpositive]] = True
-
-    def finish(self, transform: str) -> tuple[Dataset, IngestionReport]:
-        """Reject negative, late and repeated visit times, then build the cohort."""
-        line, code, stage, _, _, t, y, x = self.rows
-        ids, n = list(self.index)[2:], self.bad.size
-        report = IngestionReport(rows_in=line.size, subjects_in=n, diagnostics=self.notes)
-        parsed = np.flatnonzero(stage == 3)
-        dropped = self.bad[code[parsed]]
+        report = IngestionReport(rows_in=self.n_rows, subjects_in=n,
+                                 diagnostics=[texts[i] for i in order[:MAX_DIAGNOSTICS].tolist()])
+        line, code, t, y, x = (np.concatenate(c) for c in zip(*self.blocks))
+        dropped = bad[code]
         report.rows_from_dropped_subjects = int(np.count_nonzero(dropped))
-        report.rows_rejected = line.size - parsed.size
-        rows = parsed[~dropped]
+        report.rows_rejected = self.n_rows - code.size
+        rows = np.flatnonzero(~dropped)
         rows = rows[np.lexsort((line[rows], t[rows], code[rows]))]
         line, code, t, y, x = line[rows], code[rows], t[rows], y[rows], x[rows]
-        fup = self.fup[code]
+        fup = seed_fup[code]
         negative, late = t < 0, t > fup
         start = np.ones(t.size, bool)
         start[1:] = (code[1:] != code[:-1]) | (t[1:] != t[:-1])
         first_line = line[np.maximum.accumulate(np.where(start, np.arange(t.size), 0))]
         keep = start & ~negative & ~late
         kept = np.bincount(code[keep], minlength=n)
-        empty = np.flatnonzero(~self.bad & (kept == 0))
+        empty = np.flatnonzero(~bad & (kept == 0))
         # per subject its visit rejections in time order, then its drop note
         rejected = np.flatnonzero(~keep)
         report.n_diagnostics = self.n_notes + rejected.size + empty.size
@@ -219,13 +225,13 @@ class _Columns:
             report.diagnostics.append(f"line {line[i]}: {note}")
         report.rows_kept = int(np.count_nonzero(keep))
         report.rows_rejected += t.size - report.rows_kept
-        report.subjects_dropped = int(np.count_nonzero(self.bad)) + empty.size
+        report.subjects_dropped = int(np.count_nonzero(bad)) + empty.size
         report.subjects_kept = n - report.subjects_dropped
         subjects = np.flatnonzero(kept)
         dataset = Dataset.from_columns(
             [ids[c] for c in subjects.tolist()], kept[subjects], t[keep],
             np.column_stack([np.ones(report.rows_kept), x[keep]]),
-            apply_transform(transform, y[keep]), self.fup[subjects], self.flag[subjects] == 1)
+            apply_transform(transform, y[keep]), seed_fup[subjects], seed_flag[subjects] == 1)
         return dataset, report
 
 
@@ -257,11 +263,10 @@ def load_csv(path: str, transform: str = "none") -> tuple[Dataset, IngestionRepo
                     lines.append(reader.line_num)
                     rows.append(row)
                     if len(rows) == BLOCK_ROWS:
-                        columns.block(lines, rows)
-                        lines, rows = [], []
+                        (lines, rows), full = ([], []), (lines, rows)
+                        columns.block(*full)
         finally:  # a changed follow-up before a read error is reported instead
             columns.block(lines, rows)
-            columns.check()
     return columns.finish(transform)
 
 

@@ -201,6 +201,27 @@ def test_diagnostics_of_a_hostile_file_are_counted_and_bounded(tmp_path):
     assert peak < 200 * n
 
 
+def test_a_file_of_rejected_rows_loads_in_memory_that_does_not_grow_with_it(tmp_path):
+    """200,000 rejected rows of 100 subjects: the loader keeps only the rows that
+    parsed and one seed per subject, so its peak is about one block's; a loader
+    that keeps every row's arrays until the end peaks at 26 MB here."""
+    import tracemalloc
+
+    n = 200_000
+    path = tmp_path / "hostile.csv"
+    path.write_text("subject_id,visit_time,response,followup_end,event_observed\n"
+                    + "".join(f"s{i // 2000},abc,1.0,5.0,1\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        dataset, report = vcterm_io.load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.n_subjects == 0 and report.rows_in == report.rows_rejected == n
+    assert report.subjects_in == 100 and report.n_diagnostics == n + 100
+    assert peak < 2_000_000
+
+
 def test_intercept_injected_and_p_inferred(tmp_path):
     body = "a,1.0,2.0,5.0,1,0.5\n"
     ds, _ = load_csv(_write(tmp_path, body))

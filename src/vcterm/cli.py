@@ -279,15 +279,9 @@ def cmd_study(args) -> int:
 
 def cmd_kernel_moments(args) -> int:
     moments = kernel_moments(DEFAULT_KERNEL, quadrature_n=args.quadrature_n)
-    rows = [
-        ("mass", moments.mass),
-        ("mu0", moments.mu0),
-        ("mu1_x", moments.mu1[0]),
-        ("mu1_y", moments.mu1[1]),
-        ("mu2_xx", moments.mu2[0, 0]),
-        ("mu2_xy", moments.mu2[0, 1]),
-        ("mu2_yy", moments.mu2[1, 1]),
-    ]
+    mu2 = moments.mu2
+    rows = list(zip(("mass", "mu0", "mu1_x", "mu1_y", "mu2_xx", "mu2_xy", "mu2_yy"),
+                    (moments.mass, moments.mu0, *moments.mu1, mu2[0, 0], mu2[0, 1], mu2[1, 1])))
     meta = {"quadrature_n": args.quadrature_n,
             "truncation_radius": fmt_cell(DEFAULT_KERNEL.truncation_radius),
             "normalizer": fmt_cell(DEFAULT_KERNEL.normalizer)}

@@ -15,6 +15,8 @@ and the disk mask it leaves counts each target's weights. W then multiplies
 the stacked features [vec(x x'), x y] of the cell's candidates CHUNK rows at
 a time, a partial last chunk zero-padded to CHUNK rows. The fixed GEMM height
 and per-cell candidate sets keep each target's bits independent of the batch.
+`held_out` fits each visit without its CV fold's subjects, in one masked pass or one
+pass per fold, whichever form _per_fold expects to be cheaper.
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ def _cells(view: View, h: float):
     cj = np.floor((view.s - lo_s) / side).astype(np.intp)
     nt, ns = int(ci.max()) + 1, int(cj.max()) + 1
     return lo_t, lo_s, side, nt, ns, ci * ns + cj
-
-
-def visits_per_cell(view: View, h: float) -> float:
-    """The mean number of observations in an occupied lattice cell at bandwidth h."""
-    keys = _cells(view, h)[-1]
-    return view.n_obs / (1 + np.count_nonzero(np.diff(keys[np.argsort(keys, kind="stable")])))
 
 
 def _lattice(view: View, t0, s0, h: float):
@@ -215,3 +211,28 @@ def solve(view: View, t0, s0, h: float, fold=None,
     beta = np.full((B, p), np.nan)
     beta[ok] = np.matmul(V, c[..., None])[..., 0]
     return Solution(beta, n_eff, status, evals, evecs)
+
+
+def _per_fold(view: View, h: float, k: int) -> bool:
+    """The CV form at h with k folds: per-fold passes pay once an occupied lattice cell
+    holds CHUNK * k**2 observations on average (a rule with measured misses, see README)."""
+    keys = np.sort(_cells(view, h)[-1])
+    return view.n_obs / (1 + np.count_nonzero(np.diff(keys))) >= CHUNK * k * k
+
+
+def held_out(data: Dataset, view: View, folds, h: float):
+    """(beta, status) at every observation of view = View(data) from a fit without its own
+    fold's subjects; folds holds one fold per subject in data.ids order. One pass zeroes
+    same-fold weights or, where _per_fold says so, one pass per fold runs against the View
+    of the other folds' subjects, which evaluates no same-fold pair."""
+    obs_fold = folds[data.event_observed][view.subj]
+    fold_ids = set(obs_fold.tolist())  # every subject has a visit, so every fold is here
+    if not _per_fold(view, h, len(fold_ids)):
+        sol = solve(view, view.t, view.s, h, fold=(obs_fold, obs_fold))
+        return sol.beta, sol.status
+    beta, status = np.full((view.n_obs, view.p), np.nan), np.zeros(view.n_obs, dtype=np.intp)
+    for f in fold_ids:
+        own = obs_fold == f
+        sol = solve(View(data, folds != f), view.t[own], view.s[own], h)
+        beta[own], status[own] = sol.beta, sol.status
+    return beta, status

@@ -74,9 +74,9 @@ class GridSpec:
             raise ValueError(f"the grid has more than MAX_GRID_POINTS={MAX_GRID_POINTS} points")
 
     def slice_sizes(self) -> list[int]:
-        """Points per slice, in slice_T order; a count past MAX_GRID_POINTS reads as one more."""
-        return [math.floor(min((float(T) - 1e-9) / self.slice_t_step, MAX_GRID_POINTS + 1))
-                for T in self.slice_T]
+        """Points per slice, in slice_T order: 0 for T <= 0, MAX_GRID_POINTS + 1 past it."""
+        return [math.floor(min(max((float(T) - 1e-9) / self.slice_t_step, 0.0),
+                               MAX_GRID_POINTS + 1)) for T in self.slice_T]
 
     def eval_points(self) -> list[tuple[float, float]]:
         if self.kind == "slices":

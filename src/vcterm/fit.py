@@ -55,15 +55,18 @@ class ResidualTable:
     valid: np.ndarray
 
 
-def _residuals(view: View, h: float, rows: np.ndarray, fold=None, train: View | None = None):
-    """(resid, valid) over all observations: NaN unless in the sorted rows with an ok own fit,
-    which weighs train (view if None) and, given a fold per observation, not its own fold."""
-    fold = None if fold is None else (fold[rows], fold)
-    sol = solve(view if train is None else train, view.t[rows], view.s[rows], h, fold=fold)
-    ok = sol.status == 0
+def _residuals(view: View, h: float, rows: np.ndarray):
+    """(resid, valid) over all observations: NaN unless in the sorted rows with an ok own fit."""
+    sol = solve(view, view.t[rows], view.s[rows], h)
+    return _residuals_from(view, rows, sol.beta, sol.status)
+
+
+def _residuals_from(view: View, rows: np.ndarray, beta, status):
+    """(resid, valid) over all observations: y - x'beta[i] at sorted rows[i] if status[i] is ok."""
+    ok = status == 0
     valid = np.zeros(view.n_obs, dtype=bool)
     valid[rows[ok]] = True
-    fitted = np.matmul(view.X[valid, None, :], sol.beta[ok, :, None])[:, 0, 0]
+    fitted = np.matmul(view.X[valid, None, :], beta[ok, :, None])[:, 0, 0]
     resid = np.full(view.n_obs, np.nan)
     resid[valid] = view.y[valid] - fitted
     return resid, valid
@@ -107,9 +110,12 @@ def _fit_points(data: Dataset, points, h: float) -> list[FitPoint]:
             under = ((M.diagonal(axis1=1, axis2=2) < _TINY) & G.any(axis=1)).any(axis=1)
             bad = under | ~np.isfinite(V).all(axis=(1, 2))
             if bad.any():  # the first failing point raises, underflow before overflow
-                if under[bad.argmax()]:
+                first = bad.argmax()
+                if under[first]:  # a square of the largest weight that underflows blames h
+                    small = ("the kernel weights" if weights[chunk[first]][1].max() ** 2 < _TINY
+                             else "the residuals or covariates")
                     raise ValueError(f"the sandwich variance underflows at bandwidth h={h!r}: "
-                                     "the kernel weights are too small")
+                                     f"{small} are too small")
                 raise ValueError(f"the sandwich variance overflows at bandwidth h={h!r}: "
                                  "the covariates and responses are too large")
             for i, v in zip(chunk, V):

@@ -64,9 +64,7 @@ def kernel_eval(kernel: Kernel, u, v):
     """Evaluate the kernel at standardized offsets; zero outside the disk, NaN at a NaN offset."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     out = _weigh(kernel, u.copy(), v.copy())
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,6 @@ def kernel_moments(kernel: Kernel, quadrature_n: int = 256) -> KernelMoments:
     mass = float(wk.sum())
     mu0 = float((wk * k).sum())
     mu1 = (float((wk * x).sum()), float((wk * y).sum()))
-    mu2 = np.array(
-        [
-            [float((wk * x * x).sum()), float((wk * x * y).sum())],
-            [float((wk * y * x).sum()), float((wk * y * y).sum())],
-        ]
-    )
+    mu2 = np.array([[float((wk * x * x).sum()), float((wk * x * y).sum())],
+                    [float((wk * y * x).sum()), float((wk * y * y).sum())]])
     return KernelMoments(mass=mass, mu0=mu0, mu1=mu1, mu2=mu2)

@@ -139,12 +139,8 @@ def beta_value(config: SimConfig, k: int, x, y):
     if not 1 <= k <= config.p:
         raise ValueError(f"k must be in 1..{config.p}")
     if config.beta_mode == "constant":
-        c = float(config.constant_beta[k - 1])
-        shaped = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
-        out = np.full_like(shaped, c)
-        if out.ndim == 0:
-            return c
-        return out
+        shape, c = np.broadcast_shapes(np.shape(x), np.shape(y)), float(config.constant_beta[k - 1])
+        return np.full(shape, c) if shape else c
     return true_beta(k, x, y)
 
 

@@ -166,6 +166,7 @@ EXTREME_VALUES = [
       "rect_s": ",".join(map(str, range(1, 257)))}, 0, 3),
     ({"replications": "1000000000000"}, 0, 3),
     ({"h_policy": "cv-per-rep", "cv_folds": "1"}, 0, 3),
+    ({"grid": "slices", "slice_T": "-1e308", "slice_t_step": "5e-324"}, 0, 3),
 ]
 
 
@@ -403,6 +404,18 @@ def test_slice_validation_errors(noiseless_csv, capsys):
     assert main(["slice", "--data", noiseless_csv, "--T", "8", "--h", "3",
                  "--svg"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("T", ["-1e308", "-8", "0"])
+def test_slice_at_a_total_time_not_above_zero_has_no_points(noiseless_csv, capsys, T):
+    """(T - 1e-9) / step is -inf at T=-1e308 and the smallest step; it counts no points."""
+    assert main(["slice", "--data", noiseless_csv, f"--T={T}", "--t-step", "5e-324",
+                 "--h", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": f"slice T={float(T):g} leaves no interior points at step 4.94066e-324",
+        "code": 3}
 
 
 def test_study_cli_thread_invariant(tmp_path, capsys, monkeypatch):
@@ -664,6 +677,27 @@ def test_sandwich_that_underflows_is_rejected(tmp_path, capsys):
     data.responses[:] = 0.0
     fp = local_fit(data, 2.0, 6.0, 1e100)
     assert fp.status == "ok" and not standard_errors(fp, data.n_complete_case).any()
+
+
+@pytest.mark.parametrize("scale, h, blamed", [(1e-160, "1", "the residuals or covariates"),
+                                              (1.0, "1e100", "the kernel weights")])
+@pytest.mark.filterwarnings("error")
+def test_sandwich_underflow_blames_tiny_residuals_or_tiny_weights(tmp_path, capsys, scale, h,
+                                                                  blamed):
+    """Responses near 1e-160 underflow the scores at an ordinary h=1, where the kernel weights
+    are near 0.1; h=1e100 underflows them through weights near 1e-201."""
+    data, _ = gen_dataset(SimConfig(n=200, seed=1))
+    data.responses *= scale
+    message = (f"the sandwich variance underflows at bandwidth h={float(h)!r}: "
+               f"{blamed} are too small")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        local_fit(data, 2.0, 6.0, float(h))
+    path = str(tmp_path / "cohort.csv")
+    write_dataset_csv(data, path)
+    assert main(["fit", "--data", path, "--t0", "2", "--s0", "6", "--h", h]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1]) == {"error": message, "code": 2}
 
 
 def test_fit_target_far_outside_the_data_is_empty_support(noiseless_csv, capsys):

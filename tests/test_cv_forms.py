@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import vcterm.bandwidth as bw
+import vcterm.engine as engine
 from vcterm import DEFAULT_KERNEL, Dataset
 from vcterm.bandwidth import cv_score
 from vcterm.engine import View, solve
+from vcterm.fit import _residuals_from
 
 import oracles
 
@@ -59,11 +60,9 @@ def cv_problems(draw):
 def test_both_cv_pass_forms_match_the_dense_oracle_and_per_fold_fits_are_training_fits(problem):
     data, folds, h = problem
     want, want_excluded = oracles.dense_kfold_cv(data, dict(zip(data.ids, folds.tolist())), h)
-    held_out = bw._held_out_residuals
     for per_fold in (False, True):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bw, "_held_out_residuals",
-                       lambda data, view, folds, h, _: held_out(data, view, folds, h, per_fold))
+            mp.setattr(engine, "_per_fold", lambda view, h, k: per_fold)
             got, excluded = cv_score(data, folds, h)
         assert excluded == want_excluded
         assert got == pytest.approx(want, rel=1e-10)
@@ -72,7 +71,10 @@ def test_both_cv_pass_forms_match_the_dense_oracle_and_per_fold_fits_are_trainin
     # adds a sandwich, which underflows on draws with responses near 1e-200)
     view = View(data)
     obs_fold = folds[data.event_observed][view.subj]
-    resid, valid = held_out(data, view, folds, h, True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_per_fold", lambda view, h, k: True)
+        fits = engine.held_out(data, view, folds, h)
+    resid, valid = _residuals_from(view, np.arange(view.n_obs), *fits)
     for f in np.unique(obs_fold).tolist():
         train = View(Dataset([s for s, g in zip(data.subjects, folds) if g != f], p=data.p))
         for j in np.flatnonzero(obs_fold == f).tolist():

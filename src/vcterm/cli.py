@@ -2,7 +2,8 @@
 
 Subcommands: fit, slice, cv, simulate, study, kernel-moments, heatmap.
 Exit codes: 0 success, 2 usage, 3 data errors, 4 numerical failures.
-Errors are written to stderr as a single JSON line.
+Errors, argparse's usage errors included, are written to stderr as a single
+JSON line.
 """
 
 from __future__ import annotations
@@ -46,9 +47,18 @@ def _add_common(parser: argparse.ArgumentParser, *names):
         parser.add_argument("--" + name, **_COMMON[name])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are UsageErrors, so that main reports
+    them as one JSON line; add_subparsers makes the subcommands' parsers of this
+    class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vcterm",
         description="Kernel estimation of time-varying coefficients for "
                     "longitudinal data with a terminal event.",
@@ -117,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Dataset:
-    dataset, report = iomod.load_csv(args.data, transform=args.transform)
+    try:
+        dataset, report = iomod.load_csv(args.data, transform=args.transform)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.data}: not UTF-8 text: {exc}") from None
     if report.rows_rejected or report.subjects_dropped:
         for diag in report.diagnostics[:20]:
             print(f"warning: {diag}", file=sys.stderr)
@@ -311,13 +324,11 @@ def cmd_heatmap(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors and --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's --help
+        return int(exc.code or 0)
     except VctermError as exc:
         print(json.dumps({"error": str(exc), "code": exc.exit_code}),
               file=sys.stderr)

@@ -6,9 +6,12 @@ covariate. The intercept is injected on load. Numeric fields are written
 with 17 significant digits, and an id holding , " CR or LF is quoted as the
 csv module quotes it, so a write/load round trip is exact.
 
-The writer fills one % template per subject. The loader converts each numeric
-column with np.array, which reads a text as float() does, and maps
-event_observed through a table of its distinct texts.
+The writer fills one % template per subject. The loader reads blocks of
+BLOCK_ROWS physical lines: a block with no double quote is split at commas, a
+block that quotes goes through csv.reader, and both read each text as
+csv.reader does. It converts each numeric column with np.array, which reads a
+text as float() does, and maps event_observed through a table of its distinct
+texts. A cell past csv.field_size_limit() is a DataError naming the line.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import io
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +64,7 @@ class IngestionReport:
     n_diagnostics: int = 0  # all of them
 
 
-BLOCK_ROWS = 512  # rows parsed per block; only one block's strings are alive at once
+BLOCK_ROWS = 512  # physical lines read per block; only one block's strings are alive at once
 MAX_DIAGNOSTICS = 100  # diagnostic messages kept; the report counts every one
 _FLAGS = {"0": 0, "1": 1}  # event_observed text, stripped -> flag; any other reads -1
 
@@ -117,11 +119,12 @@ class _Columns:
 
     def block(self, lines, rows):
         """Parse rows read at these line numbers; each row keeps its first failing check."""
-        B, width = len(rows), max(self.cols) + 1
-        padded = min(map(len, rows), default=width) < width
+        B, width, line = len(rows), max(self.cols) + 1, np.asarray(lines, np.intp)
+        every = list(zip(*rows)) or [()] * width  # the columns up to the shortest row
+        padded = len(every) < width
         if padded:  # a short row reads None past its end
-            rows = [r + [None] * (width - len(r)) for r in rows]
-        cells = list(zip(*map(operator.itemgetter(*self.cols), rows))) or [()] * len(self.cols)
+            every = list(zip(*[r + [None] * (width - len(r)) for r in rows]))
+        cells = [every[j] for j in self.cols]
         for sid in dict.fromkeys(cells[0]):
             self.index.setdefault(sid, len(self.index) - 2)
         code = np.fromiter(map(self.index.__getitem__, cells[0]), np.intp, B)
@@ -145,8 +148,7 @@ class _Columns:
         rejected = rejected[:max(MAX_DIAGNOSTICS - len(self.notes), 0)]
         for i in rejected.tolist():
             _, note, name, quoted = checks[first[i]]
-            self.notes.append(f"line {lines[i]}: " + note.format(name, quoted[i]))
-        line = np.array(lines, dtype=np.intp)
+            self.notes.append(f"line {line[i]}: " + note.format(name, quoted[i]))
         self.noted.append(line[rejected])
         stage = np.searchsorted([1, 4, len(checks)], first, side="right").astype(np.int8)
         fup, t, y, *x = (numbers[self.cols[k]][0] for k in numeric)
@@ -252,22 +254,70 @@ def load_csv(path: str, transform: str = "none") -> tuple[Dataset, IngestionRepo
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, no header")
-        columns, lines, rows = _Columns(path, header), [], []
+        reader, done = csv.reader(fh), 0  # done: the physical lines before reader's first
         try:
-            for row in reader:
-                if row:  # blank lines are skipped, as csv.DictReader skips them
-                    lines.append(reader.line_num)
-                    rows.append(row)
-                    if len(rows) == BLOCK_ROWS:
-                        (lines, rows), full = ([], []), (lines, rows)
-                        columns.block(*full)
-        finally:  # a changed follow-up before a read error is reported instead
-            columns.block(lines, rows)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, no header")
+            columns, limit = _Columns(path, header), csv.field_size_limit()
+            done, lines, rows = reader.line_num, [], []
+            try:
+                while True:
+                    block, failed = [], None
+                    try:  # list.extend keeps the lines read before a read error
+                        block.extend(itertools.islice(fh, BLOCK_ROWS))
+                    except (OSError, ValueError) as exc:
+                        failed = exc
+                    text = "".join(block)
+                    if '"' not in text and (len(text) <= limit
+                                            or max(map(len, block)) <= limit):
+                        rows, lines = _split(block, done + 1)
+                        done += len(block)
+                    else:  # a quoted record may run past the block's last line
+                        reader = csv.reader(itertools.chain(
+                            block, _raising(failed) if failed else fh))
+                        for row in reader:
+                            if row:
+                                lines.append(done + reader.line_num)
+                                rows.append(row)
+                            if reader.line_num >= len(block):
+                                break
+                        done += reader.line_num
+                    if failed:
+                        raise failed
+                    if not block:
+                        break
+                    (lines, rows), full = ([], []), (lines, rows)
+                    columns.block(*full)
+            finally:  # a changed follow-up before a read error is reported instead
+                columns.block(lines, rows)
+        except csv.Error as exc:  # a field past the limit, in the header or a quoting block
+            raise DataError(f"{path} line {done + reader.line_num}: {exc}") from None
     return columns.finish(transform)
+
+
+def _split(block, first):
+    """(rows, line numbers) of a block of physical lines that holds no quote and no
+    line past the csv module's field size limit; its first line is numbered first.
+
+    Read with newline="", a physical line ends at \n, \r or \r\n and holds no
+    other CR or LF, so csv.reader's excel dialect reads such a line as its text
+    split at commas once the terminator is stripped, and a bare terminator as a
+    blank row, which is skipped as csv.DictReader skips it. (str.splitlines would
+    also break at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029.)
+    """
+    rows = [ln.rstrip("\r\n").split(",") for ln in block]
+    lines = np.arange(first, first + len(block), dtype=np.intp)
+    if [""] in rows:
+        keep = [row != [""] for row in rows]
+        return list(itertools.compress(rows, keep)), lines[keep]
+    return rows, lines
+
+
+def _raising(exc):
+    """An iterator that raises exc when it is first asked for an item."""
+    raise exc
+    yield
 
 
 def fmt_cell(v) -> str:

@@ -537,6 +537,53 @@ def test_no_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "vcterm: the following arguments are required: command"),
+    (["fit"], "vcterm fit: the following arguments are required: --t0, --s0, --h"),
+    (["fit", "--t0", "2", "--s0", "6", "--h", "-1e308"],
+     "vcterm fit: argument --h: expected one argument"),
+    (["fit", "--t0", "2", "--s0", "6", "--h", "abc"],
+     "vcterm fit: argument --h: invalid float value: 'abc'"),
+    (["cv", "--h-grid", "-1e308"], "vcterm cv: argument --h-grid: expected one argument"),
+    (["cv", "--format", "xml"], "vcterm cv: argument --format: invalid choice: 'xml' "
+                                "(choose from 'csv', 'json')"),
+    (["fit", "--t0", "2", "--s0", "6", "--h", "1", "--seed", "3"],
+     "vcterm: unrecognized arguments: --seed 3"),
+])
+def test_argparse_usage_errors_print_one_json_line(noiseless_csv, capsys, argv, message):
+    """A negative number in exponent form given as its own argument reads as an
+    option, as argparse reads it; --h=-1e308 passes it as a value."""
+    if argv:
+        argv = [argv[0], "--data", noiseless_csv, *argv[1:]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": message, "code": 2}
+
+
+def test_a_negative_bandwidth_given_with_equals_reads_as_a_number(noiseless_csv, capsys):
+    assert main(["fit", "--data", noiseless_csv, "--t0", "2", "--s0", "6",
+                 "--h=-1e308"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert json.loads(err[-1])["error"].startswith("bandwidth h must be positive")
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"a,1,2,5,\xff\n", "{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    ("a,1,2,5,{0}\n".format("x" * 131073).encode(),
+     "{path} line 2: field larger than field limit (131072)"),
+], ids=["not-utf-8", "past-the-field-limit"])
+def test_unreadable_cohort_text_is_a_data_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"subject_id,visit_time,response,followup_end,event_observed\n" + body)
+    for sub, extra in (("fit", ["--t0", "1", "--s0", "6", "--h", "3"]), ("cv", [])):
+        assert main([sub, "--data", str(path), *extra]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["code"] == 3 and error["error"].startswith(message.format(path=path))
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--t0", "1", "--s0", "6", "--h", "inf"],
     ["fit", "--t0", "nan", "--s0", "6", "--h", "3"],

@@ -76,3 +76,48 @@ def test_study_killed_after_k_replications_resumes_to_the_same_bytes(uninterrupt
     capsys.readouterr()
     assert calls == list(range(done, R))
     assert _files(out) == want
+
+
+# Runs the study and SIGKILLs itself once the artifact named by argv[1] is written, or,
+# for the partial records file, just before it is removed.
+KILL_DURING_ARTIFACTS = """
+import os, signal, sys
+from vcterm import experiments
+from vcterm.cli import main
+target = sys.argv[1]
+def killing(call, after):
+    def hooked(path, *args):
+        if not after and os.path.basename(path) == target:
+            os.kill(os.getpid(), signal.SIGKILL)
+        call(path, *args)
+        if after and os.path.basename(path) == target:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return hooked
+if target == experiments.PARTIAL_RECORDS:
+    os.remove = killing(os.remove, after=False)
+else:
+    experiments.save_table = killing(experiments.save_table, after=True)
+main(sys.argv[2:])
+"""
+
+
+@pytest.mark.parametrize("target", ["summary.csv", "records.csv", "slice_T12.csv",
+                                    PARTIAL_RECORDS])
+def test_study_killed_while_writing_its_artifacts_resumes_to_the_same_bytes(
+        uninterrupted, target, monkeypatch, capsys):
+    work, want = uninterrupted
+    out = work / f"artifacts_{target}"
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    child = subprocess.run([sys.executable, "-c", KILL_DURING_ARTIFACTS, target, "study",
+                            "--config", str(work / "study.conf"), "--out-dir", str(out)],
+                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                           timeout=120)
+    assert child.returncode == -signal.SIGKILL
+    assert (out / target).exists() and (out / PARTIAL_RECORDS).exists()
+    assert _complete_reps(out / PARTIAL_RECORDS) == R
+    calls = []
+    monkeypatch.setattr(experiments, "_run_replication", lambda *a: calls.append(a[1]))
+    assert main(["study", "--config", str(work / "study.conf"), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert _files(out) == want

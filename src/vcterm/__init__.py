@@ -15,14 +15,14 @@ from .experiments import (GridSpec, SliceTable, StudyConfig, StudyResult, run_st
                           slice_summary)
 from .fit import (FitError, FitPoint, ResidualTable, confidence_interval, fit_grid,
                   local_fit, residuals, sandwich_variance)
-from .kernel import DEFAULT_KERNEL, Kernel, KernelMoments, kernel_eval, kernel_moments
+from .kernel import DEFAULT_KERNEL, KernelMoments, kernel_eval, kernel_moments
 from .simulate import SimConfig, gen_dataset
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CVResult", "DEFAULT_KERNEL", "DataError", "Dataset", "FitError", "FitPoint",
-    "GridSpec", "Kernel", "KernelMoments", "NumericalError", "ResidualTable",
+    "GridSpec", "KernelMoments", "NumericalError", "ResidualTable",
     "SimConfig", "SliceTable", "StudyConfig", "StudyResult", "UsageError",
     "VctermError", "confidence_interval", "fit_grid", "gen_dataset", "kernel_eval",
     "kernel_moments", "local_fit", "residuals", "run_study", "sandwich_variance",

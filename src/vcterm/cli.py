@@ -330,12 +330,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's --help
         return int(exc.code or 0)
     except VctermError as exc:
-        print(json.dumps({"error": str(exc), "code": exc.exit_code}),
-              file=sys.stderr)
-        return exc.exit_code
+        message, code = str(exc), exc.exit_code
     except ValueError as exc:
-        print(json.dumps({"error": str(exc), "code": 2}), file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
+    except OSError as exc:  # a file that cannot be written; each read maps its own
+        if exc.filename is None:
+            raise
+        message, code = f"cannot write {exc.filename}: {exc.strerror}", 3
+    print(json.dumps({"error": message, "code": code}), file=sys.stderr)
+    return code
 
 
 def run():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .errors import DataError
 from .experiments import CvSettings, GridSpec, StudyConfig
+from .io import read_text
 from .simulate import SimConfig
 
 
@@ -32,11 +33,7 @@ def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 
 def load_kv_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_kv_text(fh.read(), origin=path)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+    return parse_kv_text(read_text(path), origin=path)
 
 
 def _bool(text):

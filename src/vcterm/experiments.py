@@ -22,7 +22,7 @@ from .data import Dataset
 from .engine import check_bandwidth
 from .errors import DataError
 from .fit import STATUS_OK, STATUSES, fit_grid, normal_quantile, standard_errors
-from .io import fmt_cell, json_text, read_cell, save_table, write_rows
+from .io import fmt_cell, json_text, read_cell, read_text, save_table, write_rows
 from .kernel import DEFAULT_KERNEL
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
@@ -232,8 +232,7 @@ def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepR
     and rows that do not parse, and ends a torn last line with a newline."""
     if not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     lines = text.splitlines()
     if not lines:
         return {}

@@ -415,22 +415,30 @@ def save_table(path: str, meta: dict, header, rows):
         write_table(fh, meta, header, rows)
 
 
+def read_text(path: str) -> str:
+    """The whole of a small text file, line ends untranslated; one that cannot be
+    read or is not UTF-8 is a DataError that names it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_table(path: str) -> tuple[dict, list[str], list[dict]]:
     """Read a CSV with `# key=value` comment headers (study artifacts); only the
     lines before the header are comments, so a row may start with #."""
     meta = {}
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for ln in fh:
-            if not ln.startswith("#"):
-                break
-            key, eq, value = ln[1:].partition("=")
-            if eq:
-                meta[key.strip()] = value.strip()
-        else:
-            raise DataError(f"{path}: no table content")
-        reader = csv.DictReader(itertools.chain([ln], fh))
-        return meta, list(reader.fieldnames or []), list(reader)
+    lines = io.StringIO(read_text(path), newline="")
+    for ln in lines:
+        if not ln.startswith("#"):
+            break
+        key, eq, value = ln[1:].partition("=")
+        if eq:
+            meta[key.strip()] = value.strip()
+    else:
+        raise DataError(f"{path}: no table content")
+    reader = csv.DictReader(itertools.chain([ln], lines))
+    return meta, list(reader.fieldnames or []), list(reader)

@@ -1,48 +1,21 @@
-"""Truncated radial smoothing kernels and their moment diagnostics."""
+"""The estimator's one smoothing kernel, DEFAULT_KERNEL, and its moment diagnostics."""
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-# Radius of the disk that holds 95% of the standard bivariate normal mass:
-# P(X^2 + Y^2 <= r^2) = 1 - exp(-r^2/2) = 0.95.
-DEFAULT_CONTAINED_MASS = 0.95
-DEFAULT_RADIUS = math.sqrt(-2.0 * math.log(1.0 - DEFAULT_CONTAINED_MASS))
-
 _TWO_PI = 2.0 * math.pi
 
-
-def _gaussian_mass_inside(radius: float) -> float:
-    return -math.expm1(-0.5 * radius * radius)
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Radially symmetric bivariate density with compact disk support.
-
-    The default is the standard bivariate normal truncated to the disk
-    containing 95% of its mass and renormalized so the kernel integrates
-    to one. ``normalizer`` can be overridden to use an unnormalized
-    truncation in the moment diagnostics; every fit uses DEFAULT_KERNEL.
-    """
-
-    truncation_radius: float = DEFAULT_RADIUS
-    normalizer: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.truncation_radius < math.inf:
-            raise ValueError("truncation_radius must be positive and finite")
-        if self.normalizer is None:
-            mass = _gaussian_mass_inside(self.truncation_radius)
-            object.__setattr__(self, "normalizer", 1.0 / mass)
-        elif not 0.0 < self.normalizer < math.inf:
-            raise ValueError("normalizer must be positive and finite")
-
-
-DEFAULT_KERNEL = Kernel()
+# A radially symmetric bivariate density with compact disk support. DEFAULT_KERNEL
+# is the standard bivariate normal truncated to the disk that holds 95% of its mass,
+# P(X^2 + Y^2 <= r^2) = 1 - exp(-r^2/2) = 0.95, and renormalized to integrate to one.
+Kernel = namedtuple("Kernel", "truncation_radius normalizer")
+_RADIUS = math.sqrt(-2.0 * math.log(1.0 - 0.95))
+DEFAULT_KERNEL = Kernel(_RADIUS, 1.0 / -math.expm1(-0.5 * _RADIUS * _RADIUS))
 
 
 def _weigh(kernel: Kernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -584,6 +584,81 @@ def test_unreadable_cohort_text_is_a_data_error(tmp_path, capsys, body, message)
         assert error["code"] == 3 and error["error"].startswith(message.format(path=path))
 
 
+def _one_error(capsys):
+    """The one JSON error line, the last line of stderr; nothing on stdout."""
+    out, err = capsys.readouterr()
+    errors = [ln for ln in err.splitlines() if ln.startswith("{")]
+    assert out == "" and len(errors) == 1 and err.endswith(errors[0] + "\n")
+    return json.loads(errors[0])
+
+
+COVERAGE = "# coefficient=1\nt,s,coverage,valid\n1,5,0.9,9\n2,5,0.8,9\n1,6,0.9,9\n2,6,1,9\n"
+
+
+@pytest.mark.parametrize("case", ["simulate-out", "simulate-truth-out", "slice-out-dir-is-a-file",
+                                  "study-out-dir-under-a-file", "study-partial-is-a-directory",
+                                  "study-no-resume-partial-is-a-directory", "heatmap-out"])
+def test_a_file_the_cli_cannot_write_is_a_data_error(noiseless_csv, tmp_path, capsys, case):
+    sim, study, cov = tmp_path / "sim.conf", tmp_path / "study.conf", tmp_path / "cov.csv"
+    study.write_text(STUDY_CONFIG, encoding="utf-8")
+    cov.write_text(COVERAGE, encoding="utf-8")
+    a_file, missing, study_dir = tmp_path / "a_file", tmp_path / "missing", tmp_path / "study"
+    a_file.write_text("", encoding="utf-8")
+    (study_dir / "records.partial.csv").mkdir(parents=True)
+    capsys.readouterr()
+    argv, path = {
+        "simulate-out": (["simulate", "--config", sim, "--out", missing / "c.csv"],
+                         missing / "c.csv"),
+        "simulate-truth-out": (["simulate", "--config", sim, "--out", tmp_path / "c.csv",
+                                "--truth-out", missing / "t.csv"], missing / "t.csv"),
+        "slice-out-dir-is-a-file": (["slice", "--data", noiseless_csv, "--T", "8", "--h", "3",
+                                     "--out-dir", a_file], a_file),
+        "study-out-dir-under-a-file": (["study", "--config", study, "--out-dir", a_file / "x"],
+                                       a_file / "x"),
+        "study-partial-is-a-directory": (["study", "--config", study, "--out-dir", study_dir],
+                                         study_dir / "records.partial.csv"),
+        "study-no-resume-partial-is-a-directory": (
+            ["study", "--config", study, "--out-dir", study_dir, "--no-resume"],
+            study_dir / "records.partial.csv"),
+        "heatmap-out": (["heatmap", "--coverage", cov, "--out", missing / "h.svg"],
+                        missing / "h.svg"),
+    }[case]
+    assert main([str(a) for a in argv]) == 3
+    error = _one_error(capsys)
+    assert error["code"] == 3 and str(path) in error["error"]
+
+
+def test_an_os_error_that_names_no_file_is_not_a_data_error(monkeypatch, capsys):
+    def broken_pipe(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("vcterm.cli.kernel_moments", broken_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["kernel-moments"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind", ["simulate-config", "study-config", "coverage",
+                                  "partial-records"])
+def test_a_text_input_that_is_not_utf_8_is_a_data_error(tmp_path, capsys, kind):
+    conf, cov, out = tmp_path / "c.conf", tmp_path / "cov.csv", tmp_path / "out"
+    conf.write_bytes(STUDY_CONFIG.encode() + (b"# \xff\n" if kind.endswith("config") else b""))
+    cov.write_bytes(COVERAGE.encode() + b"\xff\n")
+    out.mkdir()
+    (out / "records.partial.csv").write_bytes(b"# fingerprint=\xff\n")
+    argv, path = {
+        "simulate-config": (["simulate", "--config", conf, "--out", out / "c.csv"], conf),
+        "study-config": (["study", "--config", conf, "--out-dir", out], conf),
+        "coverage": (["heatmap", "--coverage", cov, "--out", out / "h.svg"], cov),
+        "partial-records": (["study", "--config", conf, "--out-dir", out],
+                            out / "records.partial.csv"),
+    }[kind]
+    assert main([str(a) for a in argv]) == 3
+    assert _one_error(capsys) == {"code": 3, "error": f"{path}: not UTF-8 text: 'utf-8' codec "
+                                  f"can't decode byte 0xff in position {path.read_bytes().index(255)}"
+                                  ": invalid start byte"}
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--t0", "1", "--s0", "6", "--h", "inf"],
     ["fit", "--t0", "nan", "--s0", "6", "--h", "3"],

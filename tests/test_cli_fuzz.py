@@ -1,0 +1,135 @@
+"""Argv fuzz: `vcterm fit`, `slice` and `cv` on drawn command lines exit with a documented
+code, print one JSON error line on failure, raise no RuntimeWarning, and leave no output
+file after a data error.
+
+Each option is left out, given a typical value, given twice, or given a hostile value:
+negatives with and without an exponent, subnormals, +-1e308, nan and inf text, huge
+integers, and empty or ragged --h-grid lists. A value goes as its own argument or after
+`=`, and unknown options ride along. Every draw runs on one fixed n=80 cohort, and every
+typical value keeps a run cheap (at most 12 points per slice, at most 4 CV candidates).
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vcterm import SimConfig, gen_dataset
+from vcterm.cli import main
+from vcterm.io import write_dataset_csv
+
+HOSTILE = st.sampled_from([
+    "-1", "-2.5", "-1e3", "-2e-1", "-1e308", "-0.0", "0", "5e-324", "-5e-324",
+    "2.2250738585072014e-308", "1e308", "1.7976931348623157e308", "1e400", "nan", "-nan",
+    "inf", "-inf", "Infinity", "9" * 30, "-" + "9" * 30, "1" + "0" * 400, "", "x", "1_0",
+    " 2 ", "0x10"])
+H_GRIDS = st.one_of(
+    st.sampled_from(["", ",", "1,,2", "1,2,", ",1", " ", "1;2"]),
+    st.lists(st.one_of(HOSTILE, st.sampled_from(["0.5", "1", "2", "4"])),
+             min_size=1, max_size=4).map(",".join))
+TYPICAL = {
+    "--t0": ["1", "2", "4"], "--s0": ["6", "4", "8", "30"], "--h": ["2", "3", "1"],
+    "--alpha": ["0.05", "0.1"], "--T": ["8", "12"], "--t-step": ["1", "2"],
+    "--h-grid": ["1,2", "0.5,1,2,4"], "--folds": ["2", "3", "5"], "--gamma": ["0.05", "0.2"],
+    "--seed": ["0", "3"], "--threads": ["1", "2"], "--transform": ["none", "log1000"],
+    "--format": ["csv", "json"],
+}
+OPTIONS = {
+    "fit": ["--data", "--t0", "--s0", "--h", "--alpha", "--transform", "--format"],
+    "slice": ["--data", "--T", "--t-step", "--h", "--alpha", "--out-dir", "--svg",
+              "--transform", "--format"],
+    "cv": ["--data", "--h-grid", "--folds", "--gamma", "--seed", "--threads", "--transform",
+           "--format"],
+}
+REQUIRED = {"--data", "--t0", "--s0", "--h", "--T"}
+UNKNOWN = ["--bogus", "--seed", "--svg", "--h-grid", "--T", "--t0", "-x"]  # none writes a file
+
+
+@pytest.fixture(scope="module")
+def work():
+    with tempfile.TemporaryDirectory() as root:
+        cohort, _ = gen_dataset(SimConfig(n=80, seed=5))
+        write_dataset_csv(cohort, os.path.join(root, "cohort.csv"))
+        with open(os.path.join(root, "a_file"), "w", encoding="utf-8"):
+            pass
+        yield root
+
+
+def _value(draw, option):
+    """A value of option as an argv text; {work} stands for the cohort's directory."""
+    if option == "--data":
+        return draw(st.sampled_from(["{work}/cohort.csv"] * 10 + ["{work}/missing.csv", "{work}"]))
+    if option == "--out-dir":
+        return draw(st.sampled_from(["{work}/out/slices", "{work}/a_file", "{work}/a_file/x"]))
+    hostile = draw(st.integers(0, 9)) == 0
+    if option == "--transform" or option == "--format":
+        return "bogus" if hostile else draw(st.sampled_from(TYPICAL[option]))
+    if hostile:
+        return draw(H_GRIDS if option == "--h-grid" else HOSTILE)
+    return draw(st.sampled_from(TYPICAL[option]))
+
+
+@st.composite
+def command_lines(draw):
+    """Each option is absent, once or twice; a required one is absent about one time in
+    twenty, and a value is hostile about one time in ten."""
+    sub = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [sub]
+    for option in OPTIONS[sub]:
+        kind = draw(st.sampled_from(["absent"] + ["once"] * 18 + ["twice"] if option in REQUIRED
+                                    else ["absent"] * 3 + ["once"] * 2 + ["twice"]))
+        for _ in range({"absent": 0, "once": 1, "twice": 2}[kind]):
+            if option == "--svg":
+                argv.append(option)
+                continue
+            value = _value(draw, option)
+            argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv += [draw(st.sampled_from(UNKNOWN)), draw(st.sampled_from(["1", "-1e3", "x"]))]
+    return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _outputs(root):
+    """Every path below root, with the bytes of each file."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        found[folder] = None
+        for name in names:
+            with open(os.path.join(folder, name), "rb") as fh:
+                found[os.path.join(folder, name)] = fh.read()
+    return found
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(argv=command_lines())
+def test_any_command_line_exits_with_a_documented_code_and_one_json_error(work, argv):
+    argv = [a.replace("{work}", work) for a in argv]
+    before = _outputs(work)
+    try:
+        code, out, err = _run(argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        errors = [json.loads(ln) for ln in err.splitlines() if ln.startswith("{")]
+        assert [e["code"] for e in errors] == ([] if code == 0 else [code]), (argv, err)
+        if code:
+            assert out == "" and err.endswith("\n") and err.splitlines()[-1].startswith("{")
+        if code == 3:
+            assert _outputs(work) == before, (argv, err)
+    finally:
+        for made in sorted(set(_outputs(work)) - set(before), reverse=True):
+            (os.rmdir if os.path.isdir(made) else os.remove)(made)

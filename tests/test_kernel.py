@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vcterm import DEFAULT_KERNEL, Kernel, kernel_eval, kernel_moments
+from vcterm import DEFAULT_KERNEL, kernel_eval, kernel_moments
+from vcterm.kernel import Kernel
 
 import oracles
 
@@ -64,45 +65,14 @@ def test_moments_closed_forms():
     assert m.mu2[1, 1] == pytest.approx(MU2_DIAG, abs=1e-12)
 
 
-def test_normalizer_override_scales_linearly():
-    base = Kernel()
-    doubled = Kernel(normalizer=2.0 * base.normalizer)
-    u = np.array([0.0, 0.5, 1.5])
-    v = np.array([0.0, -0.5, 0.2])
-    np.testing.assert_allclose(kernel_eval(doubled, u, v),
-                               2.0 * kernel_eval(base, u, v), rtol=1e-15)
-
-
 def test_default_normalizer_value():
     # 1 / 0.95 exactly, since the Gaussian mass inside the radius is 0.95
     assert DEFAULT_KERNEL.normalizer == pytest.approx(1.0 / 0.95, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [
-    dict(truncation_radius=0.0),
-    dict(truncation_radius=-1.0),
-    dict(truncation_radius=math.nan),
-    dict(normalizer=0.0),
-    dict(normalizer=-2.0),
-])
-def test_constructor_validation(bad):
-    with pytest.raises(ValueError):
-        Kernel(**bad)
-
-
 def test_moments_quadrature_floor():
     with pytest.raises(ValueError):
         kernel_moments(DEFAULT_KERNEL, quadrature_n=32)
-
-
-@pytest.mark.parametrize("bad", [
-    dict(truncation_radius=math.inf),
-    dict(normalizer=math.inf),
-    dict(normalizer=math.nan),
-])
-def test_constructor_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        Kernel(**bad)
 
 
 def _where_formula(kernel, u, v):

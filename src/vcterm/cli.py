@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: fit, slice, cv, simulate, study, kernel-moments, heatmap.
-Exit codes: 0 success, 2 usage, 3 data errors, 4 numerical failures.
+Exit codes: 0 success, 1 a closed stdout, 2 usage, 3 data errors, 4 numerical failures.
 Errors, argparse's usage errors included, are written to stderr as a single
 JSON line.
 """
@@ -32,8 +32,19 @@ from .kernel import DEFAULT_KERNEL, kernel_moments
 from .simulate import gen_dataset
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's seed sequences take non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 _COMMON = {  # options that several subcommands share; each adds only the ones it reads
-    "seed": dict(type=int, default=None, help="override the relevant random seed"),
+    "seed": dict(type=_seed, default=None, help="override the relevant random seed"),
     "threads": dict(type=int, default=1, help="accepted for compatibility; has no effect"),
     "transform": dict(default="none", choices=iomod.TRANSFORMS,
                       help="response transform applied on load"),
@@ -159,10 +170,10 @@ def _emit_rows(fmt: str, header, rows, meta: dict):
         iomod.write_table(sys.stdout, meta, header, rows)
 
 
-def _estimates(fp, n_cc: int, alpha: float) -> list[tuple]:
+def _estimates(fp, alpha: float) -> list[tuple]:
     """(estimate, se, lower, upper) per coefficient of a fit with variance."""
-    ci = confidence_interval(fp, n_cc, alpha)
-    return list(zip(fp.beta_hat.tolist(), standard_errors(fp, n_cc).tolist(), *ci.T.tolist()))
+    ci = confidence_interval(fp, alpha)
+    return list(zip(fp.beta_hat.tolist(), standard_errors(fp).tolist(), *ci.T.tolist()))
 
 
 def cmd_fit(args) -> int:
@@ -174,10 +185,9 @@ def cmd_fit(args) -> int:
         raise NumericalError(
             f"fit at ({args.t0:g}, {args.s0:g}) failed: {fp.status} (n_eff={fp.n_eff})"
         )
-    n_cc = dataset.n_complete_case
-    rows = [(k + 1, *est) for k, est in enumerate(_estimates(fp, n_cc, args.alpha))]
+    rows = [(k + 1, *est) for k, est in enumerate(_estimates(fp, args.alpha))]
     meta = {"t0": fmt_cell(args.t0), "s0": fmt_cell(args.s0), "h": fmt_cell(args.h),
-            "alpha": fmt_cell(args.alpha), "n_complete_case": n_cc,
+            "alpha": fmt_cell(args.alpha), "n_complete_case": fp.n_cc,
             "n_eff": fp.n_eff, "status": fp.status}
     _emit_rows(args.fmt, ("coef", "estimate", "se", "lower", "upper"), rows, meta)
     return 0
@@ -192,7 +202,6 @@ def cmd_slice(args) -> int:
     _need_complete_cases(dataset)
     if args.svg and not args.out_dir:
         raise DataError("--svg needs --out-dir")
-    n_cc = dataset.n_complete_case
     normal_quantile(args.alpha)  # an invalid alpha fails before the fits
     grid = GridSpec(slice_T=tuple(args.T), slice_t_step=args.t_step)
     slices = list(zip(args.T, grid.slice_sizes()))  # (T, number of points), in --T order
@@ -203,14 +212,15 @@ def cmd_slice(args) -> int:
     for T, count in slices:
         rows = []
         for fp in itertools.islice(fits, count):
-            ests = (_estimates(fp, n_cc, args.alpha) if fp.status == STATUS_OK
+            ests = (_estimates(fp, args.alpha) if fp.status == STATUS_OK
                     else [(math.nan,) * 4] * dataset.p)
             rows += [(T, fp.t0, fp.s0, k + 1, *est, fp.n_eff, fp.status)
                      for k, est in enumerate(ests)]
         per_slice[T] = rows
         all_rows.extend(rows)
 
-    meta = {"h": fmt_cell(args.h), "alpha": fmt_cell(args.alpha), "n_complete_case": n_cc}
+    meta = {"h": fmt_cell(args.h), "alpha": fmt_cell(args.alpha),
+            "n_complete_case": dataset.n_complete_case}
     if args.out_dir is None:
         _emit_rows(args.fmt, _SLICE_HEADER, all_rows, meta)
         return 0
@@ -342,7 +352,13 @@ def main(argv=None) -> int:
 
 
 def run():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:  # the reader left, as `| head` does: the signal module's recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

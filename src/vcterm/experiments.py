@@ -95,6 +95,8 @@ class CvSettings:
 
     def __post_init__(self):
         check_folds(self.folds)
+        if self.seed < 0:
+            raise ValueError("cv_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,6 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
         cv = select_bandwidth(ds, h_grid=config.cv.h_grid, k=config.cv.folds,
                               seed=config.cv.seed, gamma=config.gamma)
         h = cv.h_undersmoothed
-    n_cc = ds.n_complete_case
     fits = fit_grid(ds, points, h)
     G, p = len(points), config.sim.p
     est = np.full((G, p), np.nan)
@@ -208,7 +209,7 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
         status[g] = STATUSES.index(fp.status)
         if fp.status == STATUS_OK:
             est[g] = fp.beta_hat
-            se[g] = standard_errors(fp, n_cc)
+            se[g] = standard_errors(fp)
     return RepRecord(rep=rep, h=float(h), estimate=est, se=se, status=status)
 
 
@@ -271,8 +272,10 @@ def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepR
     return out
 
 
-def aggregate_records(config: StudyConfig, points, truth, records) -> StudyResult:
-    """Reduce per-replication records in replication order."""
+def aggregate_records(config: StudyConfig, records) -> StudyResult:
+    """Reduce per-replication records in replication order, at the config's grid points."""
+    points = config.grid.eval_points()
+    truth = truth_matrix(config.sim, points)
     G, p = truth.shape
     z = normal_quantile(config.alpha)
     mean_est = np.full((G, p), np.nan)
@@ -323,7 +326,6 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
     replication.
     """
     points = config.grid.eval_points()
-    truth = truth_matrix(config.sim, points)
     R = config.replications
     seqs = replication_seed_sequences(config.sim.seed, R)
     fingerprint = study_fingerprint(config)
@@ -356,7 +358,7 @@ def run_study(config: StudyConfig, out_dir: str | None = None,
         if partial_path is not None:
             _append_partial(partial_path, _record_rows(done[rep], points))
 
-    result = aggregate_records(config, points, truth, [done[r] for r in range(R)])
+    result = aggregate_records(config, [done[r] for r in range(R)])
     result.cv = cv_result
     if out_dir is not None:
         write_study_artifacts(result, out_dir)

@@ -42,6 +42,7 @@ class FitPoint:
     v_hat: np.ndarray | None
     n_eff: int
     status: str
+    n_cc: int  # complete-case subjects, the n of the sandwich and the intervals
 
 
 @dataclass
@@ -81,15 +82,15 @@ def _fit_points(data: Dataset, points, h: float) -> list[FitPoint]:
     sol = solve(view, t0, s0, h, weights=weights)
     h = float(h)
     ok = sol.status == 0
+    n, p = view.n_subjects, view.p
     out = [FitPoint(float(t0[i]), float(s0[i]), h, sol.beta[i] if ok[i] else None,
-                    None, int(sol.n_eff[i]), STATUSES[status])
+                    None, int(sol.n_eff[i]), STATUSES[status], n)
            for i, status in enumerate(sol.status)]
     if not ok.any():
         return out
     fits = np.flatnonzero(ok).tolist()
     need = np.zeros(view.n_obs, dtype=bool)
     need[np.concatenate([weights[i][0] for i in fits])] = True
-    n, p = view.n_subjects, view.p
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite V raises below
         resid, valid = _residuals(view, h, np.flatnonzero(need))
         eps = np.where(valid, resid, 0.0)
@@ -171,27 +172,26 @@ def normal_quantile(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def confidence_interval(fit: FitPoint, n: int, alpha: float = 0.05) -> np.ndarray:
-    """Pointwise normal intervals beta_k +/- z_{alpha/2} sqrt(V_kk / (n h^2)).
+def confidence_interval(fit: FitPoint, alpha: float = 0.05) -> np.ndarray:
+    """Pointwise normal intervals beta_k +/- z_{alpha/2} sqrt(V_kk / (n h^2)), n = fit.n_cc.
 
-    n must be the complete-case subject count used by the sandwich. Returns an
-    array of (lower, upper) rows, one per coefficient.
+    Returns an array of (lower, upper) rows, one per coefficient.
     """
     z = normal_quantile(alpha)
     if fit.status != STATUS_OK:
         raise FitError(fit.status, fit.n_eff)
-    if not n > 0:
-        raise ValueError("n must be positive")
-    se = standard_errors(fit, n)
+    se = standard_errors(fit)
     return np.array([fit.beta_hat - z * se, fit.beta_hat + z * se]).T
 
 
-def standard_errors(fit: FitPoint, n: int) -> np.ndarray:
-    """sqrt(V_kk / (n h^2)) per coefficient, the scale used by the intervals."""
+def standard_errors(fit: FitPoint) -> np.ndarray:
+    """sqrt(V_kk / (n h^2)) per coefficient, n = fit.n_cc, the scale used by the intervals."""
     if fit.v_hat is None:
         raise ValueError(f"fit has no variance: its status is {fit.status!r}, not ok")
+    if not fit.n_cc > 0:
+        raise ValueError("n_cc must be positive")
     # tiny negative diagonals are eigen-roundoff from an exact zero
-    return np.sqrt(np.maximum(fit.v_hat.diagonal(), 0.0) / (n * fit.h * fit.h))
+    return np.sqrt(np.maximum(fit.v_hat.diagonal(), 0.0) / (fit.n_cc * fit.h * fit.h))
 
 
 def fit_grid(data: Dataset, grid, h: float) -> list[FitPoint]:

@@ -72,6 +72,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not 1 <= self.p <= 3:

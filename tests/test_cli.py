@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 import xml.etree.ElementTree as ET
@@ -9,6 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import vcterm
 from vcterm import fit_grid, gen_dataset, local_fit
 from vcterm.bandwidth import cv_score, make_folds
 from vcterm.cli import build_parser, main
@@ -638,6 +641,77 @@ def test_an_os_error_that_names_no_file_is_not_a_data_error(monkeypatch, capsys)
     assert capsys.readouterr().err == ""
 
 
+def test_a_closed_stdout_exits_1_without_a_traceback(noiseless_csv):
+    """`vcterm slice ... | head -1`: the slices' 2,151 rows outrun the pipe's buffer."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vcterm.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    child = subprocess.Popen([sys.executable, "-m", "vcterm.cli", "slice", "--data",
+                              noiseless_csv, "--T", "8", "--T", "12", "--T", "16",
+                              "--t-step", "0.05", "--h", "2"],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline().startswith(b"#")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("loaded 60 subjects") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sub", ["cv", "simulate", "study"])
+def test_a_negative_seed_is_a_usage_error_that_names_the_option(tmp_path, capsys, sub,
+                                                                noiseless_csv):
+    conf = tmp_path / "study.conf"
+    conf.write_text(STUDY_CONFIG, encoding="utf-8")
+    argv = {"cv": ["cv", "--data", noiseless_csv, "--h-grid", "2,3", "--folds", "2"],
+            "simulate": ["simulate", "--config", str(conf), "--out", str(tmp_path / "c.csv")],
+            "study": ["study", "--config", str(conf), "--out-dir", str(tmp_path / "out")]}[sub]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(argv + ["--seed=-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": f"vcterm {sub}: argument --seed: expected a non-negative integer, got '-1'",
+        "code": 2}
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("sub, line, message", [
+    ("simulate", "seed = -1", "invalid simulation config: seed must be non-negative"),
+    ("study", "seed = -1", "invalid simulation config: seed must be non-negative"),
+    ("study", "cv_seed = -1", "invalid study config: cv_seed must be non-negative")])
+def test_a_negative_config_seed_is_an_invalid_config(tmp_path, capsys, sub, line, message):
+    conf = tmp_path / "study.conf"
+    conf.write_text(STUDY_CONFIG.replace("h_policy = fixed", "h_policy = cv-per-rep")
+                    .replace("seed = 6", line), encoding="utf-8")
+    out = tmp_path / "out"
+    flag = "--out" if sub == "simulate" else "--out-dir"
+    assert main([sub, "--config", str(conf), flag, str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": message, "code": 3}
+    assert not out.exists()
+
+
+def test_a_slice_with_a_failed_point_between_ok_ones_draws_broken_curves(tmp_path, capsys):
+    """Visits near t = 1, 3 and 4 on T = 8 only: at h=0.3 the point t=2 has no support."""
+    rows = [f"s{i},{t + 0.05 * i},{(7 * i + 3 * j) % 5 - 2},8,1"
+            for i in range(4) for j, t in enumerate((1.0, 3.0, 4.0))]
+    path = tmp_path / "gap.csv"
+    path.write_text("subject_id,visit_time,response,followup_end,event_observed\n"
+                    + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["slice", "--data", str(path), "--T", "8", "--h", "0.3", "--out-dir", str(out),
+                 "--svg"]) == 0
+    capsys.readouterr()
+    _, _, table = _parse_table((out / "slice_T8.csv").read_text())
+    assert [(r["t"], r["status"]) for r in table][:5] == [
+        ("1", "ok"), ("2", "empty_support"), ("3", "ok"), ("4", "ok"), ("5", "empty_support")]
+    assert table[1]["estimate"] == table[1]["lower"] == ""
+    root = ET.fromstring((out / "slice_T8.svg").read_text())
+    runs = [el.get("points").split() for el in root.iter() if el.tag.endswith("polyline")]
+    assert [len(run) for run in runs] == [1, 2]
+    assert sum(el.tag.endswith("polygon") for el in root.iter()) == 2
+
+
 @pytest.mark.parametrize("kind", ["simulate-config", "study-config", "coverage",
                                   "partial-records"])
 def test_a_text_input_that_is_not_utf_8_is_a_data_error(tmp_path, capsys, kind):
@@ -783,7 +857,7 @@ def test_cv_score_that_overflows_is_rejected(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 def test_sandwich_that_underflows_is_rejected(tmp_path, capsys):
     data, _ = gen_dataset(SimConfig(n=80, seed=5))
-    se = standard_errors(local_fit(data, 2.0, 6.0, 1e3), data.n_complete_case)
+    se = standard_errors(local_fit(data, 2.0, 6.0, 1e3))
     assert (se > 0.1).all()
     message = "the sandwich variance underflows at bandwidth h=1e+100: "
     with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -798,7 +872,7 @@ def test_sandwich_that_underflows_is_rejected(tmp_path, capsys):
     # exactly zero residuals give a zero score, not an underflow
     data.responses[:] = 0.0
     fp = local_fit(data, 2.0, 6.0, 1e100)
-    assert fp.status == "ok" and not standard_errors(fp, data.n_complete_case).any()
+    assert fp.status == "ok" and not standard_errors(fp).any()
 
 
 @pytest.mark.parametrize("scale, h, blamed", [(1e-160, "1", "the residuals or covariates"),

@@ -121,8 +121,8 @@ def test_single_replication_equals_direct_fit():
     for g, fp in enumerate(fits):
         assert fp.status == "ok"
         np.testing.assert_array_equal(rec.estimate[g], fp.beta_hat)
-        np.testing.assert_array_equal(
-            rec.se[g], standard_errors(fp, ds.n_complete_case))
+        assert fp.n_cc == ds.n_complete_case
+        np.testing.assert_array_equal(rec.se[g], standard_errors(fp))
     np.testing.assert_array_equal(result.mean_estimate, rec.estimate)
     assert result.h_values == (2.5,)
 
@@ -358,10 +358,10 @@ def test_artifact_files_parse(tmp_path):
 def test_aggregate_records_reorders_by_rep():
     cfg = _small_study(replications=3)
     result = run_study(cfg)
-    pts = cfg.grid.eval_points()
-    truth = truth_matrix(cfg.sim, pts)
     shuffled = [result.records[2], result.records[0], result.records[1]]
-    again = aggregate_records(cfg, pts, truth, shuffled)
+    again = aggregate_records(cfg, shuffled)
+    np.testing.assert_array_equal(again.points, result.points)
+    np.testing.assert_array_equal(again.truth, result.truth)
     np.testing.assert_array_equal(again.mean_estimate, result.mean_estimate)
     np.testing.assert_array_equal(again.emp_sd, result.emp_sd)
     assert again.h_values == result.h_values

@@ -114,8 +114,8 @@ def test_residuals_mark_censored_rows_invalid():
 
 def test_confidence_interval_frozen_values():
     # beta 0, unit variance, n=100, h=1: bounds are +/- z_{0.025} / 10
-    fit = FitPoint(1.0, 1.0, 1.0, np.zeros(2), np.eye(2), 50, STATUS_OK)
-    ci = confidence_interval(fit, n=100)
+    fit = FitPoint(1.0, 1.0, 1.0, np.zeros(2), np.eye(2), 50, STATUS_OK, n_cc=100)
+    ci = confidence_interval(fit)
     want = 0.19599639845400536
     np.testing.assert_allclose(ci[:, 0], [-want, -want], atol=1e-12, rtol=0)
     np.testing.assert_allclose(ci[:, 1], [want, want], atol=1e-12, rtol=0)
@@ -127,28 +127,42 @@ def test_confidence_interval_nesting_and_se():
     t0, s0 = oracles.interior_target(data, rng)
     fit = local_fit(data, t0, s0, H_WIDE)
     fit.v_hat = sandwich_variance(data, t0, s0, H_WIDE)
-    n_cc = data.n_complete_case
-    wide = confidence_interval(fit, n_cc, alpha=0.01)
-    narrow = confidence_interval(fit, n_cc, alpha=0.05)
+    assert fit.n_cc == data.n_complete_case
+    wide = confidence_interval(fit, alpha=0.01)
+    narrow = confidence_interval(fit, alpha=0.05)
     assert np.all(wide[:, 0] <= narrow[:, 0])
     assert np.all(wide[:, 1] >= narrow[:, 1])
-    se = standard_errors(fit, n_cc)
+    se = standard_errors(fit)
     half = (narrow[:, 1] - narrow[:, 0]) / 2.0
     np.testing.assert_allclose(half, 1.9599639845400536 * se, rtol=1e-12)
 
 
+def test_every_fit_carries_the_complete_case_count():
+    rng = np.random.default_rng(41)
+    data = oracles.make_tiny_dataset(rng, 12, 2)
+    assert 0 < data.n_complete_case < data.n_subjects
+    fits = fit_grid(data, [oracles.interior_target(data, rng), (1e6, 1e6)], H_WIDE)
+    assert [fp.status for fp in fits] == [STATUS_OK, STATUS_EMPTY]
+    fits.append(local_fit(data, *oracles.interior_target(data, rng), H_WIDE))
+    assert [fp.n_cc for fp in fits] == [data.n_complete_case] * 3
+
+
 def test_confidence_interval_argument_errors():
-    fit = FitPoint(1.0, 1.0, 1.0, np.zeros(2), np.eye(2), 50, STATUS_OK)
+    fit = FitPoint(1.0, 1.0, 1.0, np.zeros(2), np.eye(2), 50, STATUS_OK, n_cc=100)
     with pytest.raises(ValueError):
-        confidence_interval(fit, n=100, alpha=0.0)
+        confidence_interval(fit, alpha=0.0)
+    for n_cc in (0, -1):
+        fit.n_cc = n_cc
+        with pytest.raises(ValueError, match="^n_cc must be positive$"):
+            confidence_interval(fit)
+        with pytest.raises(ValueError, match="^n_cc must be positive$"):
+            standard_errors(fit)
+    bare = FitPoint(1.0, 1.0, 1.0, np.zeros(2), None, 50, STATUS_OK, n_cc=100)
     with pytest.raises(ValueError):
-        confidence_interval(fit, n=0)
-    bare = FitPoint(1.0, 1.0, 1.0, np.zeros(2), None, 50, STATUS_OK)
-    with pytest.raises(ValueError):
-        confidence_interval(bare, n=100)
-    failed = FitPoint(1.0, 1.0, 1.0, None, None, 1, STATUS_EMPTY)
+        confidence_interval(bare)
+    failed = FitPoint(1.0, 1.0, 1.0, None, None, 1, STATUS_EMPTY, n_cc=100)
     with pytest.raises(FitError):
-        confidence_interval(failed, n=100)
+        confidence_interval(failed)
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-16])

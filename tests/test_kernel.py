@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from vcterm import DEFAULT_KERNEL, kernel_eval, kernel_moments
+from vcterm.cli import main
 from vcterm.kernel import Kernel
 
 import oracles
@@ -73,6 +75,15 @@ def test_default_normalizer_value():
 def test_moments_quadrature_floor():
     with pytest.raises(ValueError):
         kernel_moments(DEFAULT_KERNEL, quadrature_n=32)
+
+
+def test_moments_quadrature_ceiling(capsys):
+    """The rule's cost grows as n^3 in time and n^2 in memory; past 2048 it is refused."""
+    with pytest.raises(ValueError, match="^quadrature_n must be from 64 to 2048 per axis$"):
+        kernel_moments(DEFAULT_KERNEL, quadrature_n=2049)
+    assert main(["kernel-moments", "--quadrature-n", "2049"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "quadrature_n must be from 64 to 2048 per axis", "code": 2}
 
 
 def _where_formula(kernel, u, v):

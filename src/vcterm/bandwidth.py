@@ -52,6 +52,8 @@ def check_folds(k: int):
 def make_folds(data: Dataset, k: int, seed: int) -> np.ndarray:
     """One fold per subject, in data.ids order: a uniform random balanced partition
     of the complete-case subjects into folds 0 to k-1, and -1 for a censored one."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     cc = np.flatnonzero(data.event_observed)
     check_folds(k)
     if k > cc.size:

@@ -225,11 +225,13 @@ def cmd_slice(args) -> int:
         _emit_rows(args.fmt, _SLICE_HEADER, all_rows, meta)
         return 0
     os.makedirs(args.out_dir, exist_ok=True)
-    for T, rows in per_slice.items():
-        stem = os.path.join(args.out_dir, slice_stem(T))
-        iomod.save_table(stem + ".csv", {**meta, "T": fmt_cell(T)}, _SLICE_HEADER, rows)
-        if args.svg:
-            _slice_svg(stem + ".svg", T, rows, dataset.p)
+    with iomod.output_files() as temp:
+        for T, rows in per_slice.items():
+            stem = os.path.join(args.out_dir, slice_stem(T))
+            with open(temp(stem + ".csv"), "w", encoding="utf-8") as fh:
+                iomod.write_table(fh, {**meta, "T": fmt_cell(T)}, _SLICE_HEADER, rows)
+            if args.svg:
+                _slice_svg(temp(stem + ".svg"), T, rows, dataset.p)
     print(f"wrote {len(per_slice)} slice tables to {args.out_dir}", file=sys.stderr)
     return 0
 
@@ -272,9 +274,10 @@ def cmd_cv(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_sim_config(args.config, seed_override=args.seed)
     dataset, truths = gen_dataset(cfg)
-    iomod.write_dataset_csv(dataset, args.out)
-    if args.truth_out:
-        iomod.write_truth_csv(truths, args.truth_out)
+    with iomod.output_files() as temp:
+        iomod.write_dataset_csv(dataset, temp(args.out))
+        if args.truth_out:
+            iomod.write_truth_csv(truths, temp(args.truth_out))
     n_events = sum(1 for t in truths if t.event_observed)
     print(
         f"simulated {cfg.n} subjects: {dataset.n_subjects} with visits, "
@@ -328,7 +331,8 @@ def cmd_heatmap(args) -> int:
         raise DataError(f"{args.coverage}: grid is not rectangular")
     grid = np.array([p[2] for p in pts])[index]
     title = args.title or f"coverage (coefficient {meta.get('coefficient', '?')})"
-    svgmod.heatmap_chart(args.out, t_vals, s_vals, grid, title=title)
+    with iomod.output_files() as temp:
+        svgmod.heatmap_chart(temp(args.out), t_vals, s_vals, grid, title=title)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

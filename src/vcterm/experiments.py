@@ -21,8 +21,8 @@ from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, candidate_grid, 
 from .data import Dataset
 from .engine import check_bandwidth
 from .errors import DataError
-from .fit import STATUS_OK, STATUSES, fit_grid, normal_quantile, standard_errors
-from .io import fmt_cell, json_text, read_cell, read_text, save_table, write_rows
+from .fit import STATUS_OK, STATUSES, fit_grid, normal_quantile
+from .io import fmt_cell, fmt_column, json_text, read_cell, read_text, save_table
 from .kernel import DEFAULT_KERNEL
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
@@ -202,22 +202,41 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
         h = cv.h_undersmoothed
     fits = fit_grid(ds, points, h)
     G, p = len(points), config.sim.p
-    est = np.full((G, p), np.nan)
-    se = np.full((G, p), np.nan)
-    status = np.empty(G, dtype=np.int8)
-    for g, fp in enumerate(fits):
-        status[g] = STATUSES.index(fp.status)
-        if fp.status == STATUS_OK:
-            est[g] = fp.beta_hat
-            se[g] = standard_errors(fp)
+    est, se = np.full((2, G, p), np.nan)
+    status = np.array([STATUSES.index(fp.status) for fp in fits], dtype=np.int8)
+    ok = [fp for fp in fits if fp.status == STATUS_OK]
+    if ok:  # fit.standard_errors of every ok point at once: they share n_cc and h
+        est[status == 0] = [fp.beta_hat for fp in ok]
+        v = np.array([fp.v_hat.diagonal() for fp in ok])
+        se[status == 0] = np.sqrt(np.maximum(v, 0.0) / (ok[0].n_cc * ok[0].h * ok[0].h))
     return RepRecord(rep=rep, h=float(h), estimate=est, se=se, status=status)
 
 
-def _record_rows(record: RepRecord, points):
+def _cells(*columns) -> list[tuple]:
+    """Rows of CSV cells of a (G, p) table, row (g, k) at g * p + k. Each column's values
+    are formatted once; a (G, 1) column's cell fills its point's p rows, and any other
+    column (a scalar, p cells, or (G, p) cells) is repeated in C order to fill the table.
+    Columns of one dimension, n cells each, make n rows."""
+    G, p = np.broadcast_shapes(*map(np.shape, columns), (1, 1))
+    out = []
+    for c in map(np.asarray, columns):
+        cells = fmt_column(c.ravel().tolist())
+        out.append([x for x in cells for _ in range(p)] if c.shape == (G, 1)
+                   else cells * (G * p // len(cells)))
+    return list(zip(*out))
+
+
+def _lines(rows) -> str:
+    """CSV lines of rows of cells."""
+    return "".join([",".join(row) + "\n" for row in rows])
+
+
+def _record_rows(record: RepRecord, points) -> list[tuple]:
+    """One replication's rows of cells, in _RECORD_HEADER's columns."""
     G, p = record.estimate.shape
-    return [(record.rep, g, points[g][0], points[g][1], k + 1, record.h,
-             record.estimate[g, k], record.se[g, k], STATUSES[record.status[g]])
-            for g in range(G) for k in range(p)]
+    t, s = np.array(points, dtype=float).T[:, :, None]
+    return _cells(record.rep, np.arange(G)[:, None], t, s, np.arange(1, p + 1), record.h,
+                  record.estimate, record.se, np.array(STATUSES)[record.status][:, None])
 
 
 _RECORD_HEADER = ("rep", "point", "t", "s", "coef", "h", "estimate", "se", "status")
@@ -225,7 +244,7 @@ _RECORD_HEADER = ("rep", "point", "t", "s", "coef", "h", "estimate", "se", "stat
 
 def _append_partial(path: str, rows):
     with open(path, "a", encoding="utf-8") as fh:
-        write_rows(fh, rows)
+        fh.write(_lines(rows))
 
 
 def _load_partial(path: str, fingerprint: str, G: int, p: int) -> dict[int, RepRecord]:
@@ -278,33 +297,24 @@ def aggregate_records(config: StudyConfig, records) -> StudyResult:
     truth = truth_matrix(config.sim, points)
     G, p = truth.shape
     z = normal_quantile(config.alpha)
-    mean_est = np.full((G, p), np.nan)
-    emp_sd = np.full((G, p), np.nan)
-    mean_se = np.full((G, p), np.nan)
-    coverage = np.full((G, p), np.nan)
-    cov_mc_se = np.full((G, p), np.nan)
+    stats = np.full((5, G, p), np.nan)  # mean estimate, emp. SD, mean SE, coverage, its MC SE
     valid = np.zeros(G, dtype=int)
     ordered = sorted(records, key=lambda r: r.rep)
-    for g in range(G):
-        ok = [r for r in ordered if r.status[g] == 0]
-        valid[g] = len(ok)
-        if not ok:
-            continue
-        for k in range(p):
-            ests = [float(r.estimate[g, k]) for r in ok]
-            ses = [float(r.se[g, k]) for r in ok]
-            nv = len(ests)
+    # per point: replication statuses, and per coefficient each replication's value
+    codes = np.array([r.status for r in ordered]).T.tolist()
+    E, S = np.array([(r.estimate, r.se) for r in ordered]).transpose(1, 2, 3, 0).tolist()
+    for g, true in enumerate(truth.tolist()):
+        ok = [i for i, c in enumerate(codes[g]) if c == 0]
+        valid[g] = nv = len(ok)
+        for k in range(p if ok else 0):
+            ests = [E[g][k][i] for i in ok]
+            ses = [S[g][k][i] for i in ok]
             m = math.fsum(ests) / nv
-            mean_est[g, k] = m
-            mean_se[g, k] = math.fsum(ses) / nv
-            if nv > 1:
-                emp_sd[g, k] = math.sqrt(
-                    math.fsum((e - m) ** 2 for e in ests) / (nv - 1)
-                )
-            hits = sum(1 for e, s in zip(ests, ses) if abs(e - truth[g, k]) <= z * s)
-            c = hits / nv
-            coverage[g, k] = c
-            cov_mc_se[g, k] = math.sqrt(c * (1.0 - c) / nv)
+            sd = (math.sqrt(math.fsum((e - m) ** 2 for e in ests) / (nv - 1)) if nv > 1
+                  else math.nan)
+            c = sum(1 for e, s in zip(ests, ses) if abs(e - true[k]) <= z * s) / nv
+            stats[:, g, k] = m, sd, math.fsum(ses) / nv, c, math.sqrt(c * (1.0 - c) / nv)
+    mean_est, emp_sd, mean_se, coverage, cov_mc_se = stats
     pts = np.array([[pt[0], pt[1]] for pt in points])
     return StudyResult(
         config=config, points=pts, truth=truth, mean_estimate=mean_est,
@@ -460,29 +470,28 @@ def write_study_artifacts(result: StudyResult, out_dir: str):
             "alpha": fmt_cell(cfg.alpha), "h_policy": cfg.h_policy}
 
     G, p = result.truth.shape
-    rows = [(g, float(result.points[g, 0]), float(result.points[g, 1]), k + 1,
-             float(result.truth[g, k]), *(a[g, k] for a in (
-                 result.mean_estimate, result.bias, result.emp_sd, result.mean_se,
-                 result.coverage, result.coverage_mc_se)), int(result.valid[g]))
-            for g in range(G) for k in range(p)]
-    save_table(os.path.join(out_dir, SUMMARY_FILE), meta, _SUMMARY_HEADER, rows)
+    summary = _cells(np.arange(G)[:, None], *result.points.T[:, :, None], np.arange(1, p + 1),
+                     result.truth, result.mean_estimate, result.bias, result.emp_sd,
+                     result.mean_se, result.coverage, result.coverage_mc_se, result.valid[:, None])
+    save_table(os.path.join(out_dir, SUMMARY_FILE), meta, _SUMMARY_HEADER, [_lines(summary)])
 
-    points = [(float(t), float(s)) for t, s in result.points]
-    record_rows = [row for record in result.records for row in _record_rows(record, points)]
-    save_table(os.path.join(out_dir, RECORDS_FILE),
-               {"fingerprint": fingerprint}, _RECORD_HEADER, record_rows)
+    save_table(os.path.join(out_dir, RECORDS_FILE), {"fingerprint": fingerprint}, _RECORD_HEADER,
+               (_lines(_record_rows(record, result.points)) for record in result.records))
 
     if cfg.grid.kind == "rect":
         for k in range(1, p + 1):
             save_table(os.path.join(out_dir, f"coverage_b{k}.csv"),
                        {"fingerprint": fingerprint, "coefficient": k},
-                       _HEATMAP_HEADER, coverage_heatmap(result, k))
+                       _HEATMAP_HEADER, [_lines(_cells(*zip(*coverage_heatmap(result, k))))])
     if cfg.grid.kind == "slices":
         for T in cfg.grid.slice_T:
-            table = slice_summary(result, float(T))
+            tb = slice_summary(result, float(T))
+            rows = _cells(np.arange(1, p + 1), tb.t[:, None], tb.s[:, None], tb.truth,
+                          tb.mean_estimate, tb.emp_sd, tb.mean_se, tb.lower_emp, tb.upper_emp,
+                          tb.lower_est, tb.upper_est, tb.valid[:, None])
             save_table(os.path.join(out_dir, slice_stem(T) + ".csv"),
                        {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
-                       _SLICE_HEADER, table.rows())
+                       _SLICE_HEADER, [_lines(rows)])
 
     metadata = {
         "fingerprint": fingerprint,

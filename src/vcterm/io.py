@@ -16,11 +16,14 @@ texts. A cell past csv.field_size_limit() is a DataError naming the line.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,16 +323,20 @@ def _raising(exc):
     yield
 
 
+def fmt_column(values) -> list[str]:
+    """The CSV cells of a column, as tolist() gives it: 17 significant digits for a
+    float, empty for a NaN or infinite one (a missing value), str() of anything else."""
+    return [(_FLOAT_FMT % v if math.isfinite(v) else "") if isinstance(v, (float, np.floating))
+            else str(v) for v in values]
+
+
 def fmt_cell(v) -> str:
-    """A CSV cell: empty for None and for a NaN or infinite float (a missing
-    value), 1/0 for a bool, 17 significant digits for any other float."""
+    """A CSV cell: empty for None, 1/0 for a bool, fmt_column's cell for any other value."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return _FLOAT_FMT % v if math.isfinite(v) else ""
-    return str(v)
+    return fmt_column((v,))[0]
 
 
 def read_cell(text: str) -> float:
@@ -409,10 +416,38 @@ def write_table(stream, meta: dict, header, rows):
     write_rows(stream, rows)
 
 
-def save_table(path: str, meta: dict, header, rows):
-    """write_table into a new file at path."""
+def save_table(path: str, meta: dict, header, chunks):
+    """A new file at path: write_table's comment lines and header, then each chunk of
+    CSV lines as it is, one write per chunk; chunks from a generator are held one at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_table(fh, meta, header, rows)
+        write_table(fh, meta, header, ())
+        fh.writelines(chunks)
+
+
+@contextlib.contextmanager
+def output_files():
+    """All or none of a command's files: `with output_files() as temp:` gives each writer
+    temp(path), a name in path's directory, renamed onto path once the block ends. A
+    failure removes them all, and an OSError names the path, not its temporary name."""
+    temps = {}  # temporary name -> path
+
+    def temp(path: str) -> str:
+        if os.path.isdir(path):  # checked before any rename: os.replace would refuse it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        name = os.path.join(os.path.dirname(path), f".vcterm-{os.getpid()}-{len(temps)}.tmp")
+        temps[name] = path
+        return name
+
+    try:
+        yield temp
+        for name, path in temps.items():
+            os.replace(name, path)
+    except BaseException as exc:
+        for name in filter(os.path.exists, temps):
+            os.remove(name)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            exc.filename = temps[exc.filename]
+        raise
 
 
 def read_text(path: str) -> str:

@@ -11,14 +11,18 @@ import csv
 import io
 import itertools
 import math
+import os
+from dataclasses import asdict
 
 import numpy as np
 from scipy.stats import chi2
 
 from vcterm.data import Dataset, Subject
+from vcterm.engine import STATUSES
 from vcterm.errors import DataError, NumericalError
+from vcterm.experiments import coverage_heatmap, slice_summary, study_fingerprint
 from vcterm.io import (COVARIATE_PREFIX, MAX_DIAGNOSTICS, REQUIRED_COLUMNS, IngestionReport,
-                       apply_transform, fmt_cell)
+                       apply_transform, fmt_cell, json_text, write_rows)
 
 # radius of the 95% disk of the standard bivariate normal
 RADIUS_SQ = float(chi2.ppf(0.95, df=2))
@@ -409,6 +413,75 @@ def reference_write_truth_csv(truths, path: str):
             writer.writerow([tr.subject_id, fmt_cell(tr.x2), fmt_cell(tr.x3_at_zero),
                              fmt_cell(tr.event_time), fmt_cell(tr.censor_time),
                              fmt_cell(tr.event_observed)])
+
+
+# --------------------------------------------------------------------------
+# reference study writer
+
+def _reference_save_table(path: str, meta: dict, header, rows):
+    """Comment lines, header, then rows of values, each cell through fmt_cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key}={meta[key]}\n")
+        fh.write(",".join(header) + "\n")
+        write_rows(fh, rows)
+
+
+def reference_record_rows(record, points):
+    """One replication's records rows of values, one tuple per point and coefficient."""
+    G, p = record.estimate.shape
+    return [(record.rep, g, points[g][0], points[g][1], k + 1, record.h,
+             record.estimate[g, k], record.se[g, k], STATUSES[record.status[g]])
+            for g in range(G) for k in range(p)]
+
+
+def reference_append_partial(path: str, record, points):
+    with open(path, "a", encoding="utf-8") as fh:
+        write_rows(fh, reference_record_rows(record, points))
+
+
+def reference_write_study_artifacts(result, out_dir: str):
+    """The row-by-row writer that experiments.write_study_artifacts replaced: every
+    table a list of tuples of values, formatted cell by cell by fmt_cell."""
+    os.makedirs(out_dir, exist_ok=True)
+    cfg = result.config
+    fingerprint = study_fingerprint(cfg)
+    meta = {"fingerprint": fingerprint, "replications": cfg.replications,
+            "alpha": fmt_cell(cfg.alpha), "h_policy": cfg.h_policy}
+    G, p = result.truth.shape
+    rows = [(g, float(result.points[g, 0]), float(result.points[g, 1]), k + 1,
+             float(result.truth[g, k]), *(a[g, k] for a in (
+                 result.mean_estimate, result.bias, result.emp_sd, result.mean_se,
+                 result.coverage, result.coverage_mc_se)), int(result.valid[g]))
+            for g in range(G) for k in range(p)]
+    _reference_save_table(os.path.join(out_dir, "summary.csv"), meta,
+                          ("point", "t", "s", "coef", "truth", "mean_estimate", "bias",
+                           "emp_sd", "mean_se", "coverage", "coverage_mc_se", "valid"), rows)
+    points = [(float(t), float(s)) for t, s in result.points]
+    rows = [row for record in result.records for row in reference_record_rows(record, points)]
+    _reference_save_table(os.path.join(out_dir, "records.csv"), {"fingerprint": fingerprint},
+                          ("rep", "point", "t", "s", "coef", "h", "estimate", "se", "status"),
+                          rows)
+    if cfg.grid.kind == "rect":
+        for k in range(1, p + 1):
+            _reference_save_table(os.path.join(out_dir, f"coverage_b{k}.csv"),
+                                  {"fingerprint": fingerprint, "coefficient": k},
+                                  ("t", "s", "coverage", "valid"), coverage_heatmap(result, k))
+    if cfg.grid.kind == "slices":
+        for T in cfg.grid.slice_T:
+            _reference_save_table(
+                os.path.join(out_dir, ("slice_T%g" % float(T)).replace(".", "_") + ".csv"),
+                {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
+                ("coef", "t", "s", "truth", "mean_estimate", "emp_sd", "mean_se", "lower_emp",
+                 "upper_emp", "lower_est", "upper_est", "valid"),
+                slice_summary(result, float(T)).rows())
+    metadata = {"fingerprint": fingerprint, "config": asdict(cfg),
+                "h_values": list(result.h_values),
+                "cv": None if result.cv is None else asdict(result.cv),
+                "zero_valid_points": result.zero_valid_points,
+                "status_codes": dict(enumerate(STATUSES))}
+    with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8") as fh:
+        fh.write(json_text(metadata, indent=2) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,14 @@ def test_make_folds_argument_errors():
         make_folds(data, k=7, seed=0)
 
 
+def test_a_negative_seed_is_a_value_error_that_names_it():
+    data = oracles.make_tiny_dataset(np.random.default_rng(7), 6, 2, all_complete=True)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        make_folds(data, 2, -1)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        select_bandwidth(data, h_grid=(2.0,), k=2, seed=-1)
+
+
 def test_cv_score_matches_dense_two_fold_oracle():
     rng = np.random.default_rng(13)
     data = oracles.make_tiny_dataset(rng, 6, 2, all_complete=True)

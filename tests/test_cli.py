@@ -631,6 +631,40 @@ def test_a_file_the_cli_cannot_write_is_a_data_error(noiseless_csv, tmp_path, ca
     assert error["code"] == 3 and str(path) in error["error"]
 
 
+def _tree(directory) -> dict:
+    """Every entry under directory, hidden ones included: a file's bytes, None for a directory."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in directory.rglob("*")}
+
+
+@pytest.mark.parametrize("case", ["slice-csv", "slice-svg", "simulate-truth-out",
+                                  "simulate-truth-out-is-a-directory"])
+def test_a_failed_write_leaves_none_of_the_commands_files(noiseless_csv, tmp_path, capsys, case):
+    """A command's first file is written before a later one fails; none stays, a file
+    of the same name from before is left as it was, and the error names the target."""
+    work = tmp_path / "work"
+    (work / "D").mkdir(parents=True)
+    sim = work / "sim.conf"
+    sim.write_text("n = 20\nseed = 3\n", encoding="utf-8")
+    (work / "D" / "slice_T12.csv").write_text("from before\n", encoding="utf-8")
+    slices = ["slice", "--data", noiseless_csv, "--T", "12", "--T", "8", "--h", "2",
+              "--out-dir", work / "D"]
+    simulate = ["simulate", "--config", sim, "--out", work / "c2.csv", "--truth-out"]
+    argv, failing = {
+        "slice-csv": (slices, work / "D" / "slice_T8.csv"),
+        "slice-svg": (slices + ["--svg"], work / "D" / "slice_T8.svg"),
+        "simulate-truth-out": (simulate + [work / "nodir" / "t.csv"], work / "nodir" / "t.csv"),
+        "simulate-truth-out-is-a-directory": (simulate + [work / "D"], work / "D"),
+    }[case]
+    if case.startswith("slice"):
+        failing.mkdir()
+    before = _tree(work)
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 3
+    error = _one_error(capsys)
+    assert error["code"] == 3 and str(failing) in error["error"]
+    assert _tree(work) == before
+
+
 def test_an_os_error_that_names_no_file_is_not_a_data_error(monkeypatch, capsys):
     def broken_pipe(*args, **kwargs):
         raise BrokenPipeError(32, "Broken pipe")

@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -25,8 +24,7 @@ from .bandwidth import DEFAULT_FOLDS, DEFAULT_GAMMA, DEFAULT_H_GRID, select_band
 from .data import Dataset
 from .errors import DataError, NumericalError, UsageError, VctermError
 from .experiments import GridSpec, rect_index, run_study, slice_stem
-from .fit import (STATUS_OK, confidence_interval, fit_grid, local_fit, normal_quantile,
-                  standard_errors)
+from .fit import STATUS_OK, _fit_arrays, fit_grid, local_fit, normal_quantile
 from .io import fmt_cell
 from .kernel import DEFAULT_KERNEL, kernel_moments
 from .simulate import gen_dataset
@@ -162,18 +160,21 @@ def _need_complete_cases(dataset: Dataset):
         raise DataError("no complete-case subjects: every follow-up is censored")
 
 
-def _emit_rows(fmt: str, header, rows, meta: dict):
+def _print_table(fmt: str, meta: dict, header, *columns):
+    """A table of array columns, laid out by io._cells, on stdout as CSV or as JSON."""
     if fmt == "json":
+        rows = iomod._cells(*columns, cell=lambda values: values)
         payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
         sys.stdout.write(iomod.json_text(payload) + "\n")
     else:
-        iomod.write_table(sys.stdout, meta, header, rows)
+        iomod.write_table(sys.stdout, meta, header, [iomod._lines(iomod._cells(*columns))])
 
 
-def _estimates(fp, alpha: float) -> list[tuple]:
-    """(estimate, se, lower, upper) per coefficient of a fit with variance."""
-    ci = confidence_interval(fp, alpha)
-    return list(zip(fp.beta_hat.tolist(), standard_errors(fp).tolist(), *ci.T.tolist()))
+def _interval_columns(fits, p: int, alpha: float) -> tuple:
+    """(estimate, se, lower, upper) of the fits, (G, p) each, NaN where a fit is not ok."""
+    est, se, _ = _fit_arrays(fits, p)
+    z = normal_quantile(alpha)
+    return est, se, est - z * se, est + z * se
 
 
 def cmd_fit(args) -> int:
@@ -185,11 +186,12 @@ def cmd_fit(args) -> int:
         raise NumericalError(
             f"fit at ({args.t0:g}, {args.s0:g}) failed: {fp.status} (n_eff={fp.n_eff})"
         )
-    rows = [(k + 1, *est) for k, est in enumerate(_estimates(fp, args.alpha))]
     meta = {"t0": fmt_cell(args.t0), "s0": fmt_cell(args.s0), "h": fmt_cell(args.h),
             "alpha": fmt_cell(args.alpha), "n_complete_case": fp.n_cc,
             "n_eff": fp.n_eff, "status": fp.status}
-    _emit_rows(args.fmt, ("coef", "estimate", "se", "lower", "upper"), rows, meta)
+    _print_table(args.fmt, meta, ("coef", "estimate", "se", "lower", "upper"),
+                 np.arange(1, dataset.p + 1),
+                 *_interval_columns([fp], dataset.p, args.alpha))
     return 0
 
 
@@ -204,49 +206,43 @@ def cmd_slice(args) -> int:
         raise DataError("--svg needs --out-dir")
     normal_quantile(args.alpha)  # an invalid alpha fails before the fits
     grid = GridSpec(slice_T=tuple(args.T), slice_t_step=args.t_step)
-    slices = list(zip(args.T, grid.slice_sizes()))  # (T, number of points), in --T order
+    sizes, p = grid.slice_sizes(), dataset.p  # points per slice, in --T order
     # one batch for every slice: the residual pass runs once
-    fits = iter(fit_grid(dataset, grid.eval_points(), args.h))
-    all_rows = []
-    per_slice = {}  # a repeated T writes one file
-    for T, count in slices:
-        rows = []
-        for fp in itertools.islice(fits, count):
-            ests = (_estimates(fp, args.alpha) if fp.status == STATUS_OK
-                    else [(math.nan,) * 4] * dataset.p)
-            rows += [(T, fp.t0, fp.s0, k + 1, *est, fp.n_eff, fp.status)
-                     for k, est in enumerate(ests)]
-        per_slice[T] = rows
-        all_rows.extend(rows)
-
+    fits = fit_grid(dataset, grid.eval_points(), args.h)
+    t, s = np.array([(fp.t0, fp.s0) for fp in fits]).T
+    est, se, lower, upper = _interval_columns(fits, p, args.alpha)
+    columns = (np.repeat(args.T, sizes)[:, None], t[:, None], s[:, None], np.arange(1, p + 1),
+               est, se, lower, upper, np.array([[fp.n_eff] for fp in fits]),
+               np.array([[fp.status] for fp in fits]))
     meta = {"h": fmt_cell(args.h), "alpha": fmt_cell(args.alpha),
             "n_complete_case": dataset.n_complete_case}
     if args.out_dir is None:
-        _emit_rows(args.fmt, _SLICE_HEADER, all_rows, meta)
+        _print_table(args.fmt, meta, _SLICE_HEADER, *columns)
         return 0
+    rows = iomod._cells(*columns)
+    # each slice's points [start, stop); a repeated T writes one file
+    per_slice = {T: (stop - size, stop)
+                 for T, size, stop in zip(args.T, sizes, itertools.accumulate(sizes))}
     os.makedirs(args.out_dir, exist_ok=True)
     with iomod.output_files() as temp:
-        for T, rows in per_slice.items():
+        for T, (start, stop) in per_slice.items():
             stem = os.path.join(args.out_dir, slice_stem(T))
-            with open(temp(stem + ".csv"), "w", encoding="utf-8") as fh:
-                iomod.write_table(fh, {**meta, "T": fmt_cell(T)}, _SLICE_HEADER, rows)
+            iomod.save_table(temp(stem + ".csv"), {**meta, "T": fmt_cell(T)}, _SLICE_HEADER,
+                             [iomod._lines(rows[start * p:stop * p])])
             if args.svg:
-                _slice_svg(temp(stem + ".svg"), T, rows, dataset.p)
+                _slice_svg(temp(stem + ".svg"), T, t[start:stop],
+                           *(a[start:stop] for a in (est, lower, upper)))
     print(f"wrote {len(per_slice)} slice tables to {args.out_dir}", file=sys.stderr)
     return 0
 
 
-def _slice_svg(path: str, T: float, rows, p: int):
-    ts = sorted({r[1] for r in rows})
-    curves = []
-    bands = []
-    for k in range(1, p + 1):
-        by_t = {r[1]: r for r in rows if r[3] == k}
-        est, lo, hi = ([by_t[t][c] for t in ts] for c in (4, 6, 7))
-        color = svgmod.PALETTE[(k - 1) % len(svgmod.PALETTE)]
-        curves.append((f"b{k}", est, color))
-        bands.append((lo, hi, color))
-    svgmod.line_chart(path, ts, curves, bands, title=f"T = {T:g}")
+def _slice_svg(path: str, T: float, t, est, lower, upper):
+    """One slice's chart: each coefficient's estimates, a column of the (n, p) est, against
+    the (n,) t, in a band from lower to upper."""
+    colors = [svgmod.PALETTE[k % len(svgmod.PALETTE)] for k in range(est.shape[1])]
+    curves = [(f"b{k + 1}", e, c) for k, (e, c) in enumerate(zip(est.T.tolist(), colors))]
+    bands = list(zip(lower.T.tolist(), upper.T.tolist(), colors))
+    svgmod.line_chart(path, t.tolist(), curves, bands, title=f"T = {T:g}")
 
 
 def cmd_cv(args) -> int:
@@ -261,13 +257,13 @@ def cmd_cv(args) -> int:
     seed = 0 if args.seed is None else args.seed
     result = select_bandwidth(dataset, h_grid=h_grid, seed=seed, k=args.folds,
                               gamma=args.gamma)
-    rows = list(zip(result.h_grid, result.scores, result.excluded_fraction))
     meta = {"h_selected": fmt_cell(result.h_selected),
             "h_undersmoothed": fmt_cell(result.h_undersmoothed),
             "factor": fmt_cell(result.factor), "gamma": fmt_cell(result.gamma),
             "n_used": result.n_used, "n_complete_case": dataset.n_complete_case,
             "folds": result.folds, "seed": result.seed}
-    _emit_rows(args.fmt, ("h", "score", "excluded_fraction"), rows, meta)
+    _print_table(args.fmt, meta, ("h", "score", "excluded_fraction"),
+                 result.h_grid, result.scores, result.excluded_fraction)
     return 0
 
 
@@ -306,12 +302,12 @@ def cmd_study(args) -> int:
 def cmd_kernel_moments(args) -> int:
     moments = kernel_moments(DEFAULT_KERNEL, quadrature_n=args.quadrature_n)
     mu2 = moments.mu2
-    rows = list(zip(("mass", "mu0", "mu1_x", "mu1_y", "mu2_xx", "mu2_xy", "mu2_yy"),
-                    (moments.mass, moments.mu0, *moments.mu1, mu2[0, 0], mu2[0, 1], mu2[1, 1])))
     meta = {"quadrature_n": args.quadrature_n,
             "truncation_radius": fmt_cell(DEFAULT_KERNEL.truncation_radius),
             "normalizer": fmt_cell(DEFAULT_KERNEL.normalizer)}
-    _emit_rows(args.fmt, ("moment", "value"), rows, meta)
+    _print_table(args.fmt, meta, ("moment", "value"),
+                 ("mass", "mu0", "mu1_x", "mu1_y", "mu2_xx", "mu2_xy", "mu2_yy"),
+                 (moments.mass, moments.mu0, *moments.mu1, mu2[0, 0], mu2[0, 1], mu2[1, 1]))
     return 0
 
 

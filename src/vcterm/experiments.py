@@ -21,8 +21,8 @@ from .bandwidth import (CVResult, DEFAULT_FOLDS, DEFAULT_GAMMA, candidate_grid, 
 from .data import Dataset
 from .engine import check_bandwidth
 from .errors import DataError
-from .fit import STATUS_OK, STATUSES, fit_grid, normal_quantile
-from .io import fmt_cell, fmt_column, json_text, read_cell, read_text, save_table
+from .fit import STATUSES, _fit_arrays, fit_grid, normal_quantile
+from .io import _cells, _lines, fmt_cell, json_text, read_cell, read_text, save_table
 from .kernel import DEFAULT_KERNEL
 from .simulate import SimConfig, beta_value, gen_dataset, spawn_stateless
 
@@ -200,35 +200,8 @@ def _run_replication(config: StudyConfig, rep: int, seed_seq, h: float | None,
         cv = select_bandwidth(ds, h_grid=config.cv.h_grid, k=config.cv.folds,
                               seed=config.cv.seed, gamma=config.gamma)
         h = cv.h_undersmoothed
-    fits = fit_grid(ds, points, h)
-    G, p = len(points), config.sim.p
-    est, se = np.full((2, G, p), np.nan)
-    status = np.array([STATUSES.index(fp.status) for fp in fits], dtype=np.int8)
-    ok = [fp for fp in fits if fp.status == STATUS_OK]
-    if ok:  # fit.standard_errors of every ok point at once: they share n_cc and h
-        est[status == 0] = [fp.beta_hat for fp in ok]
-        v = np.array([fp.v_hat.diagonal() for fp in ok])
-        se[status == 0] = np.sqrt(np.maximum(v, 0.0) / (ok[0].n_cc * ok[0].h * ok[0].h))
+    est, se, status = _fit_arrays(fit_grid(ds, points, h), config.sim.p)
     return RepRecord(rep=rep, h=float(h), estimate=est, se=se, status=status)
-
-
-def _cells(*columns) -> list[tuple]:
-    """Rows of CSV cells of a (G, p) table, row (g, k) at g * p + k. Each column's values
-    are formatted once; a (G, 1) column's cell fills its point's p rows, and any other
-    column (a scalar, p cells, or (G, p) cells) is repeated in C order to fill the table.
-    Columns of one dimension, n cells each, make n rows."""
-    G, p = np.broadcast_shapes(*map(np.shape, columns), (1, 1))
-    out = []
-    for c in map(np.asarray, columns):
-        cells = fmt_column(c.ravel().tolist())
-        out.append([x for x in cells for _ in range(p)] if c.shape == (G, 1)
-                   else cells * (G * p // len(cells)))
-    return list(zip(*out))
-
-
-def _lines(rows) -> str:
-    """CSV lines of rows of cells."""
-    return "".join([",".join(row) + "\n" for row in rows])
 
 
 def _record_rows(record: RepRecord, points) -> list[tuple]:
@@ -418,13 +391,6 @@ class SliceTable:
     lower_est: np.ndarray      # mean - z * mean estimated SE
     upper_est: np.ndarray
     valid: np.ndarray          # (nt,)
-
-    def rows(self):
-        return [(k + 1, float(self.t[i]), float(self.s[i]), float(self.truth[i, k]),
-                 *(a[i, k] for a in (self.mean_estimate, self.emp_sd, self.mean_se,
-                                     self.lower_emp, self.upper_emp, self.lower_est,
-                                     self.upper_est)), int(self.valid[i]))
-                for i in range(self.t.size) for k in range(self.truth.shape[1])]
 
 
 def slice_summary(result: StudyResult, T_fixed: float) -> SliceTable:

@@ -190,8 +190,21 @@ def standard_errors(fit: FitPoint) -> np.ndarray:
         raise ValueError(f"fit has no variance: its status is {fit.status!r}, not ok")
     if not fit.n_cc > 0:
         raise ValueError("n_cc must be positive")
+    return _fit_arrays([fit], fit.v_hat.shape[0])[1][0]
+
+
+def _fit_arrays(fits, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(estimate, se, status) of the fits: (G, p) estimates and standard_errors, NaN
+    where a fit has no beta_hat or no v_hat, and (G,) int8 codes of STATUSES."""
+    est, se = np.full((2, len(fits), p), np.nan)
+    beta = [g for g, fp in enumerate(fits) if fp.beta_hat is not None]
+    var = [g for g, fp in enumerate(fits) if fp.v_hat is not None]
+    est[beta] = np.reshape([fits[g].beta_hat for g in beta], (-1, p))
+    v = np.reshape([fits[g].v_hat.diagonal() for g in var], (-1, p))
+    n_h2 = np.array([fits[g].n_cc * fits[g].h * fits[g].h for g in var])
     # tiny negative diagonals are eigen-roundoff from an exact zero
-    return np.sqrt(np.maximum(fit.v_hat.diagonal(), 0.0) / (fit.n_cc * fit.h * fit.h))
+    se[var] = np.sqrt(np.maximum(v, 0.0) / n_h2[:, None])
+    return est, se, np.array([STATUSES.index(fp.status) for fp in fits], dtype=np.int8)
 
 
 def fit_grid(data: Dataset, grid, h: float) -> list[FitPoint]:

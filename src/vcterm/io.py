@@ -403,25 +403,40 @@ def write_truth_csv(truths, path: str):
                             tr.censor_time, tr.event_observed))
 
 
-def write_rows(stream, rows):
-    """CSV lines of rows, each cell through fmt_cell, in one write."""
-    stream.write("".join(",".join(map(fmt_cell, row)) + "\n" for row in rows))
+def _cells(*columns, cell=fmt_column) -> list[tuple]:
+    """Rows of a (G, p) table, row (g, k) at g * p + k, each value rendered by cell, which
+    takes a column's values as tolist() gives them: fmt_column's CSV cells, or the values
+    themselves for JSON. Each column is rendered once; a (G, 1) column's cell fills its
+    point's p rows, and any other column (a scalar, p cells, or (G, p) cells) is repeated
+    in C order to fill the table. Columns of one dimension, n cells each, make n rows."""
+    G, p = np.broadcast_shapes(*map(np.shape, columns), (1, 1))
+    out = []
+    for c in map(np.asarray, columns):
+        cells = cell(c.ravel().tolist())
+        out.append([x for x in cells for _ in range(p)] if c.shape == (G, 1)
+                   else cells * (G * p // len(cells)))
+    return list(zip(*out))
 
 
-def write_table(stream, meta: dict, header, rows):
-    """CSV with `# key=value` comment lines first, as read_table reads it."""
+def _lines(rows) -> str:
+    """CSV lines of rows of cells."""
+    return "".join([",".join(row) + "\n" for row in rows])
+
+
+def write_table(stream, meta: dict, header, chunks):
+    """CSV as read_table reads it: `# key=value` comment lines, the header, then each
+    chunk of CSV lines as it is, one write per chunk; chunks from a generator are held
+    one at a time."""
     for key in sorted(meta):
         stream.write(f"# {key}={meta[key]}\n")
     stream.write(",".join(header) + "\n")
-    write_rows(stream, rows)
+    stream.writelines(chunks)
 
 
 def save_table(path: str, meta: dict, header, chunks):
-    """A new file at path: write_table's comment lines and header, then each chunk of
-    CSV lines as it is, one write per chunk; chunks from a generator are held one at a time."""
+    """A new file at path holding write_table's CSV."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_table(fh, meta, header, ())
-        fh.writelines(chunks)
+        write_table(fh, meta, header, chunks)
 
 
 @contextlib.contextmanager

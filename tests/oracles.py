@@ -13,16 +13,21 @@ import itertools
 import math
 import os
 from dataclasses import asdict
+from statistics import NormalDist
 
 import numpy as np
 from scipy.stats import chi2
 
+from vcterm import svg
+from vcterm.bandwidth import select_bandwidth
 from vcterm.data import Dataset, Subject
 from vcterm.engine import STATUSES
 from vcterm.errors import DataError, NumericalError
-from vcterm.experiments import coverage_heatmap, slice_summary, study_fingerprint
+from vcterm.experiments import GridSpec, coverage_heatmap, slice_summary, study_fingerprint
+from vcterm.fit import fit_grid, local_fit
 from vcterm.io import (COVARIATE_PREFIX, MAX_DIAGNOSTICS, REQUIRED_COLUMNS, IngestionReport,
-                       apply_transform, fmt_cell, json_text, write_rows)
+                       apply_transform, fmt_cell, json_text)
+from vcterm.kernel import DEFAULT_KERNEL, kernel_moments
 
 # radius of the 95% disk of the standard bivariate normal
 RADIUS_SQ = float(chi2.ppf(0.95, df=2))
@@ -418,13 +423,34 @@ def reference_write_truth_csv(truths, path: str):
 # --------------------------------------------------------------------------
 # reference study writer
 
-def _reference_save_table(path: str, meta: dict, header, rows):
+def write_rows(stream, rows):
+    """CSV lines of rows, each cell through fmt_cell, in one write: the per-cell
+    writer that vcterm.io's column layout replaced."""
+    stream.write("".join(",".join(map(fmt_cell, row)) + "\n" for row in rows))
+
+
+def _reference_table_text(meta: dict, header, rows) -> str:
     """Comment lines, header, then rows of values, each cell through fmt_cell."""
+    buf = io.StringIO()
+    for key in sorted(meta):
+        buf.write(f"# {key}={meta[key]}\n")
+    buf.write(",".join(header) + "\n")
+    write_rows(buf, rows)
+    return buf.getvalue()
+
+
+def _reference_save_table(path: str, meta: dict, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(",".join(header) + "\n")
-        write_rows(fh, rows)
+        fh.write(_reference_table_text(meta, header, rows))
+
+
+def reference_slice_rows(table):
+    """A SliceTable's rows of values, one tuple per point and coefficient."""
+    return [(k + 1, float(table.t[i]), float(table.s[i]), float(table.truth[i, k]),
+             *(a[i, k] for a in (table.mean_estimate, table.emp_sd, table.mean_se,
+                                 table.lower_emp, table.upper_emp, table.lower_est,
+                                 table.upper_est)), int(table.valid[i]))
+            for i in range(table.t.size) for k in range(table.truth.shape[1])]
 
 
 def reference_record_rows(record, points):
@@ -474,7 +500,7 @@ def reference_write_study_artifacts(result, out_dir: str):
                 {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
                 ("coef", "t", "s", "truth", "mean_estimate", "emp_sd", "mean_se", "lower_emp",
                  "upper_emp", "lower_est", "upper_est", "valid"),
-                slice_summary(result, float(T)).rows())
+                reference_slice_rows(slice_summary(result, float(T))))
     metadata = {"fingerprint": fingerprint, "config": asdict(cfg),
                 "h_values": list(result.h_values),
                 "cv": None if result.cv is None else asdict(result.cv),
@@ -482,6 +508,92 @@ def reference_write_study_artifacts(result, out_dir: str):
                 "status_codes": dict(enumerate(STATUSES))}
     with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8") as fh:
         fh.write(json_text(metadata, indent=2) + "\n")
+
+
+# --------------------------------------------------------------------------
+# reference CLI tables
+
+SLICE_HEADER = ("T", "t", "s", "coef", "estimate", "se", "lower", "upper", "n_eff", "status")
+
+
+def _reference_estimates(fp, alpha: float) -> list[tuple]:
+    """(estimate, se, lower, upper) per coefficient of one ok fit, as the CLI built
+    them point by point before its tables were laid out from array columns."""
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    se = np.sqrt(np.maximum(fp.v_hat.diagonal(), 0.0) / (fp.n_cc * fp.h * fp.h))
+    return list(zip(fp.beta_hat.tolist(), se.tolist(), (fp.beta_hat - z * se).tolist(),
+                    (fp.beta_hat + z * se).tolist()))
+
+
+def reference_emit(fmt: str, header, rows, meta: dict) -> str:
+    """A command's stdout from its rows of values: CSV cell by cell, or JSON dicts."""
+    if fmt == "json":
+        return json_text({"meta": meta, "rows": [dict(zip(header, r)) for r in rows]}) + "\n"
+    return _reference_table_text(meta, header, rows)
+
+
+def reference_fit(dataset, t0: float, s0: float, h: float, alpha: float):
+    """(header, rows, meta) of `vcterm fit` at an ok point."""
+    fp = local_fit(dataset, t0, s0, h)
+    rows = [(k + 1, *est) for k, est in enumerate(_reference_estimates(fp, alpha))]
+    meta = {"t0": fmt_cell(t0), "s0": fmt_cell(s0), "h": fmt_cell(h), "alpha": fmt_cell(alpha),
+            "n_complete_case": fp.n_cc, "n_eff": fp.n_eff, "status": fp.status}
+    return ("coef", "estimate", "se", "lower", "upper"), rows, meta
+
+
+def reference_slices(dataset, Ts, t_step: float, h: float, alpha: float):
+    """([(T, rows)] in --T order, meta) of `vcterm slice`: one batch of fits, then each
+    point's rows, missing values NaN where its fit failed."""
+    grid = GridSpec(slice_T=tuple(Ts), slice_t_step=t_step)
+    fits = iter(fit_grid(dataset, grid.eval_points(), h))
+    slices = []
+    for T, count in zip(Ts, grid.slice_sizes()):
+        rows = []
+        for fp in itertools.islice(fits, count):
+            ests = (_reference_estimates(fp, alpha) if fp.status == "ok"
+                    else [(math.nan,) * 4] * dataset.p)
+            rows += [(T, fp.t0, fp.s0, k + 1, *est, fp.n_eff, fp.status)
+                     for k, est in enumerate(ests)]
+        slices.append((T, rows))
+    meta = {"h": fmt_cell(h), "alpha": fmt_cell(alpha),
+            "n_complete_case": dataset.n_complete_case}
+    return slices, meta
+
+
+def reference_slice_svg(path: str, T: float, rows, p: int):
+    """One slice's chart, its curves rebuilt from the rows by column index."""
+    ts = sorted({r[1] for r in rows})
+    curves, bands = [], []
+    for k in range(1, p + 1):
+        by_t = {r[1]: r for r in rows if r[3] == k}
+        est, lo, hi = ([by_t[t][c] for t in ts] for c in (4, 6, 7))
+        color = svg.PALETTE[(k - 1) % len(svg.PALETTE)]
+        curves.append((f"b{k}", est, color))
+        bands.append((lo, hi, color))
+    svg.line_chart(path, ts, curves, bands, title=f"T = {T:g}")
+
+
+def reference_cv(dataset, h_grid, folds: int, seed: int, gamma: float):
+    """(header, rows, meta) of `vcterm cv`."""
+    result = select_bandwidth(dataset, h_grid=h_grid, seed=seed, k=folds, gamma=gamma)
+    rows = list(zip(result.h_grid, result.scores, result.excluded_fraction))
+    meta = {"h_selected": fmt_cell(result.h_selected),
+            "h_undersmoothed": fmt_cell(result.h_undersmoothed),
+            "factor": fmt_cell(result.factor), "gamma": fmt_cell(result.gamma),
+            "n_used": result.n_used, "n_complete_case": dataset.n_complete_case,
+            "folds": result.folds, "seed": result.seed}
+    return ("h", "score", "excluded_fraction"), rows, meta
+
+
+def reference_kernel_moments(quadrature_n: int):
+    """(header, rows, meta) of `vcterm kernel-moments`."""
+    m = kernel_moments(DEFAULT_KERNEL, quadrature_n=quadrature_n)
+    rows = list(zip(("mass", "mu0", "mu1_x", "mu1_y", "mu2_xx", "mu2_xy", "mu2_yy"),
+                    (m.mass, m.mu0, *m.mu1, m.mu2[0, 0], m.mu2[0, 1], m.mu2[1, 1])))
+    meta = {"quadrature_n": quadrature_n,
+            "truncation_radius": fmt_cell(DEFAULT_KERNEL.truncation_radius),
+            "normalizer": fmt_cell(DEFAULT_KERNEL.normalizer)}
+    return ("moment", "value"), rows, meta
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Argv fuzz: `vcterm fit`, `slice` and `cv` on drawn command lines exit with a documented
-code, print one JSON error line on failure, raise no RuntimeWarning, and leave no output
-file after a data error.
+"""Argv fuzz: `vcterm fit`, `slice`, `cv`, `kernel-moments` and `heatmap` on drawn command
+lines exit with a documented code, print one JSON error line on failure, raise no
+RuntimeWarning, and leave no output file after a data error. A table printed on success
+is well formed: strict JSON, or CSV whose every row has as many cells as its header.
 
 Each option is left out, given a typical value, given twice, or given a hostile value:
 negatives with and without an exponent, subnormals, +-1e308, nan and inf text, huge
@@ -38,7 +39,8 @@ TYPICAL = {
     "--alpha": ["0.05", "0.1"], "--T": ["8", "12"], "--t-step": ["1", "2"],
     "--h-grid": ["1,2", "0.5,1,2,4"], "--folds": ["2", "3", "5"], "--gamma": ["0.05", "0.2"],
     "--seed": ["0", "3"], "--threads": ["1", "2"], "--transform": ["none", "log1000"],
-    "--format": ["csv", "json"],
+    "--format": ["csv", "json"], "--quadrature-n": ["64", "100", "256"],
+    "--title": ["", "coverage", "a <b> & \"c\""],
 }
 OPTIONS = {
     "fit": ["--data", "--t0", "--s0", "--h", "--alpha", "--transform", "--format"],
@@ -46,8 +48,10 @@ OPTIONS = {
               "--transform", "--format"],
     "cv": ["--data", "--h-grid", "--folds", "--gamma", "--seed", "--threads", "--transform",
            "--format"],
+    "kernel-moments": ["--quadrature-n", "--format"],
+    "heatmap": ["--coverage", "--out", "--title"],
 }
-REQUIRED = {"--data", "--t0", "--s0", "--h", "--T"}
+REQUIRED = {"--data", "--t0", "--s0", "--h", "--T", "--coverage", "--out"}
 UNKNOWN = ["--bogus", "--seed", "--svg", "--h-grid", "--T", "--t0", "-x"]  # none writes a file
 
 
@@ -58,6 +62,10 @@ def work():
         write_dataset_csv(cohort, os.path.join(root, "cohort.csv"))
         with open(os.path.join(root, "a_file"), "w", encoding="utf-8"):
             pass
+        for name, rows in (("coverage", ["1,5,0.9,2", "3,5,,0", "1,7,1,2", "3,7,0.5,2"]),
+                           ("ragged", ["1,5,0.9,2", "3,5,1,2", "1,7,1,2"])):
+            with open(os.path.join(root, name + ".csv"), "w", encoding="utf-8") as fh:
+                fh.write("# coefficient=1\nt,s,coverage,valid\n" + "\n".join(rows) + "\n")
         yield root
 
 
@@ -67,6 +75,12 @@ def _value(draw, option):
         return draw(st.sampled_from(["{work}/cohort.csv"] * 10 + ["{work}/missing.csv", "{work}"]))
     if option == "--out-dir":
         return draw(st.sampled_from(["{work}/out/slices", "{work}/a_file", "{work}/a_file/x"]))
+    if option in ("--coverage", "--out"):  # a bad file one time in five
+        if draw(st.integers(0, 4)):
+            return "{work}/coverage.csv" if option == "--coverage" else "{work}/heat.svg"
+        return draw(st.sampled_from(["{work}/ragged.csv", "{work}/cohort.csv", "{work}/missing.csv",
+                                     "{work}"] if option == "--coverage"
+                                    else ["{work}/a_file/x.svg", "{work}"]))
     hostile = draw(st.integers(0, 9)) == 0
     if option == "--transform" or option == "--format":
         return "bogus" if hostile else draw(st.sampled_from(TYPICAL[option]))
@@ -104,6 +118,29 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _assert_table(argv, out):
+    """The table printed by a command that succeeded: strict JSON whose rows all have the
+    same keys, or CSV with a header and rows of as many cells."""
+    fmt = "csv"  # argparse keeps the last --format
+    for option, value in zip(argv, argv[1:] + [""]):
+        if option == "--format":
+            fmt = value
+        elif option.startswith("--format="):
+            fmt = option.split("=", 1)[1]
+    if fmt == "json":
+        payload = json.loads(out, parse_constant=_refuse)
+        assert sorted(payload) == ["meta", "rows"] and payload["rows"], (argv, out)
+        assert len({tuple(sorted(row)) for row in payload["rows"]}) == 1, (argv, out)
+        return
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert len(lines) > 1, (argv, out)
+    assert {len(ln.split(",")) for ln in lines} == {len(lines[0].split(","))}, (argv, out)
+
+
 def _outputs(root):
     """Every path below root, with the bytes of each file."""
     found = {}
@@ -115,7 +152,7 @@ def _outputs(root):
     return found
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+@settings(max_examples=500, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(argv=command_lines())
 def test_any_command_line_exits_with_a_documented_code_and_one_json_error(work, argv):
@@ -128,6 +165,10 @@ def test_any_command_line_exits_with_a_documented_code_and_one_json_error(work, 
         assert [e["code"] for e in errors] == ([] if code == 0 else [code]), (argv, err)
         if code:
             assert out == "" and err.endswith("\n") and err.splitlines()[-1].startswith("{")
+        elif argv[0] == "heatmap" or any(a.startswith("--out-dir") for a in argv):
+            assert out == "", (argv, out)
+        else:
+            _assert_table(argv, out)
         if code == 3:
             assert _outputs(work) == before, (argv, err)
     finally:

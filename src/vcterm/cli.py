@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
+import io
 import json
 import os
 import sys
@@ -140,6 +140,8 @@ def _load(args) -> Dataset:
         dataset, report = iomod.load_csv(args.data, transform=args.transform)
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.data}: not UTF-8 text: {exc}") from None
+    except OSError as exc:  # a read that fails once the file is open, as /proc/self/mem's
+        raise DataError(f"cannot read {args.data}: {exc}") from None
     if report.rows_rejected or report.subjects_dropped:
         for diag in report.diagnostics[:20]:
             print(f"warning: {diag}", file=sys.stderr)
@@ -206,33 +208,29 @@ def cmd_slice(args) -> int:
         raise DataError("--svg needs --out-dir")
     normal_quantile(args.alpha)  # an invalid alpha fails before the fits
     grid = GridSpec(slice_T=tuple(args.T), slice_t_step=args.t_step)
-    sizes, p = grid.slice_sizes(), dataset.p  # points per slice, in --T order
+    slices, p = grid.slices(), dataset.p
     # one batch for every slice: the residual pass runs once
     fits = fit_grid(dataset, grid.eval_points(), args.h)
     t, s = np.array([(fp.t0, fp.s0) for fp in fits]).T
     est, se, lower, upper = _interval_columns(fits, p, args.alpha)
-    columns = (np.repeat(args.T, sizes)[:, None], t[:, None], s[:, None], np.arange(1, p + 1),
-               est, se, lower, upper, np.array([[fp.n_eff] for fp in fits]),
-               np.array([[fp.status] for fp in fits]))
+    columns = (np.concatenate([np.full((at.stop - at.start, 1), T) for T, at in slices.items()]),
+               t[:, None], s[:, None], np.arange(1, p + 1), est, se, lower, upper,
+               np.array([[fp.n_eff] for fp in fits]), np.array([[fp.status] for fp in fits]))
     meta = {"h": fmt_cell(args.h), "alpha": fmt_cell(args.alpha),
             "n_complete_case": dataset.n_complete_case}
     if args.out_dir is None:
         _print_table(args.fmt, meta, _SLICE_HEADER, *columns)
         return 0
     rows = iomod._cells(*columns)
-    # each slice's points [start, stop); a repeated T writes one file
-    per_slice = {T: (stop - size, stop)
-                 for T, size, stop in zip(args.T, sizes, itertools.accumulate(sizes))}
     os.makedirs(args.out_dir, exist_ok=True)
     with iomod.output_files() as temp:
-        for T, (start, stop) in per_slice.items():
+        for T, at in slices.items():
             stem = os.path.join(args.out_dir, slice_stem(T))
             iomod.save_table(temp(stem + ".csv"), {**meta, "T": fmt_cell(T)}, _SLICE_HEADER,
-                             [iomod._lines(rows[start * p:stop * p])])
+                             [iomod._lines(rows[at.start * p:at.stop * p])])
             if args.svg:
-                _slice_svg(temp(stem + ".svg"), T, t[start:stop],
-                           *(a[start:stop] for a in (est, lower, upper)))
-    print(f"wrote {len(per_slice)} slice tables to {args.out_dir}", file=sys.stderr)
+                _slice_svg(temp(stem + ".svg"), T, t[at], *(a[at] for a in (est, lower, upper)))
+    print(f"wrote {len(slices)} slice tables to {args.out_dir}", file=sys.stderr)
     return 0
 
 
@@ -352,6 +350,10 @@ def main(argv=None) -> int:
 
 
 def run():
+    out = sys.stdout  # under -u a raw file, whose short writes TextIOWrapper would drop
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors,
+                                      write_through=True)
     try:
         code = main()
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit

@@ -10,6 +10,7 @@ a partial file with no finished replication restarts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -67,9 +68,16 @@ class GridSpec:
             if empty:
                 raise DataError(f"slice T={empty[0]:g} leaves no interior points at step "
                                 f"{self.slice_t_step:g}")
+            stems = sorted(map(slice_stem, self.slice_T))  # a slice's table is named by its T
+            twice = [a for a, b in itertools.pairwise(stems) if a == b]
+            if twice:
+                raise ValueError(f"two slice totals share the table name {twice[0]}")
+        elif self.kind == "rect":  # a coverage heatmap needs each mesh point once
+            sizes = [len(self.rect_t) * len(self.rect_s)]
+            if any(len(set(map(float, axis))) < len(axis) for axis in (self.rect_t, self.rect_s)):
+                raise ValueError("rect_t and rect_s must not repeat a value")
         else:
-            sizes = [len(self.rect_t) * len(self.rect_s) if self.kind == "rect"
-                     else len(self.points)]
+            sizes = [len(self.points)]
         if sum(sizes) > MAX_GRID_POINTS:
             raise ValueError(f"the grid has more than MAX_GRID_POINTS={MAX_GRID_POINTS} points")
 
@@ -77,6 +85,12 @@ class GridSpec:
         """Points per slice, in slice_T order: 0 for T <= 0, MAX_GRID_POINTS + 1 past it."""
         return [math.floor(min(max((float(T) - 1e-9) / self.slice_t_step, 0.0),
                                MAX_GRID_POINTS + 1)) for T in self.slice_T]
+
+    def slices(self) -> dict[float, slice]:
+        """Each slice total's rows of eval_points(), in slice_T order; {} unless a slices grid."""
+        sizes = self.slice_sizes() if self.kind == "slices" else []
+        return {float(T): slice(stop - size, stop)
+                for T, size, stop in zip(self.slice_T, sizes, itertools.accumulate(sizes))}
 
     def eval_points(self) -> list[tuple[float, float]]:
         if self.kind == "slices":
@@ -132,11 +146,6 @@ class StudyConfig:
             if not np.isfinite(truth_matrix(self.sim, points)).all():
                 raise ValueError("a grid point lies so far out that its true coefficients "
                                  "are not finite")
-        if self.grid.kind == "rect":
-            try:  # the coverage heatmaps need each mesh point exactly once
-                rect_index(points)
-            except ValueError:
-                raise ValueError("rect_t and rect_s must not repeat a value") from None
 
 
 @dataclass
@@ -394,13 +403,11 @@ class SliceTable:
 
 
 def slice_summary(result: StudyResult, T_fixed: float) -> SliceTable:
-    """Truth, mean estimate, and both confidence envelopes along t + s = T."""
+    """Truth, mean estimate, and both confidence envelopes along the grid's slice at T."""
     T_fixed = float(T_fixed)
-    total = result.points[:, 0] + result.points[:, 1]
-    idx = np.nonzero(np.abs(total - T_fixed) <= 1e-9)[0]
-    if idx.size == 0:
+    idx = result.config.grid.slices().get(T_fixed)
+    if idx is None:
         raise ValueError(f"no evaluation points on the slice t + s = {T_fixed}")
-    idx = idx[np.argsort(result.points[idx, 0])]
     z = normal_quantile(result.config.alpha)
     mean = result.mean_estimate[idx]
     emp = result.emp_sd[idx]
@@ -449,15 +456,13 @@ def write_study_artifacts(result: StudyResult, out_dir: str):
             save_table(os.path.join(out_dir, f"coverage_b{k}.csv"),
                        {"fingerprint": fingerprint, "coefficient": k},
                        _HEATMAP_HEADER, [_lines(_cells(*zip(*coverage_heatmap(result, k))))])
-    if cfg.grid.kind == "slices":
-        for T in cfg.grid.slice_T:
-            tb = slice_summary(result, float(T))
-            rows = _cells(np.arange(1, p + 1), tb.t[:, None], tb.s[:, None], tb.truth,
-                          tb.mean_estimate, tb.emp_sd, tb.mean_se, tb.lower_emp, tb.upper_emp,
-                          tb.lower_est, tb.upper_est, tb.valid[:, None])
-            save_table(os.path.join(out_dir, slice_stem(T) + ".csv"),
-                       {"fingerprint": fingerprint, "T": fmt_cell(float(T))},
-                       _SLICE_HEADER, [_lines(rows)])
+    for T in cfg.grid.slices():
+        tb = slice_summary(result, T)
+        rows = _cells(np.arange(1, p + 1), tb.t[:, None], tb.s[:, None], tb.truth,
+                      tb.mean_estimate, tb.emp_sd, tb.mean_se, tb.lower_emp, tb.upper_emp,
+                      tb.lower_est, tb.upper_est, tb.valid[:, None])
+        save_table(os.path.join(out_dir, slice_stem(T) + ".csv"),
+                   {"fingerprint": fingerprint, "T": fmt_cell(T)}, _SLICE_HEADER, [_lines(rows)])
 
     metadata = {
         "fingerprint": fingerprint,

@@ -442,13 +442,18 @@ def save_table(path: str, meta: dict, header, chunks):
 @contextlib.contextmanager
 def output_files():
     """All or none of a command's files: `with output_files() as temp:` gives each writer
-    temp(path), a name in path's directory, renamed onto path once the block ends. A
-    failure removes them all, and an OSError names the path, not its temporary name."""
-    temps = {}  # temporary name -> path
+    temp(path), a name in path's directory, renamed onto path once the block ends. A second
+    file at one real path is a ValueError; a failure removes them all, and an OSError names
+    the path, not its temporary name."""
+    temps, targets = {}, set()  # temporary name -> path; each path's real path
 
     def temp(path: str) -> str:
         if os.path.isdir(path):  # checked before any rename: os.replace would refuse it
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        real = os.path.realpath(path)
+        if real in targets:
+            raise ValueError(f"two outputs at one path: {path}")
+        targets.add(real)
         name = os.path.join(os.path.dirname(path), f".vcterm-{os.getpid()}-{len(temps)}.tmp")
         temps[name] = path
         return name

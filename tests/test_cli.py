@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import pytest
 import vcterm
 from vcterm import fit_grid, gen_dataset, local_fit
 from vcterm.bandwidth import cv_score, make_folds
-from vcterm.cli import build_parser, main
+from vcterm.cli import build_parser, main, run
 from vcterm.fit import standard_errors
 from vcterm.io import write_dataset_csv
 from vcterm.simulate import SimConfig
@@ -97,6 +99,22 @@ def test_simulate_reports_and_writes_truth(tmp_path, capsys):
         assert len(fh.readlines()) == 61  # header + one row per subject
 
 
+@pytest.mark.parametrize("truth_name", ["data.csv", "link.csv"])
+def test_simulate_refuses_two_outputs_at_one_path(tmp_path, capsys, truth_name):
+    """A --truth-out at the real path of --out, itself or a link to it, would replace the
+    cohort with the truth table."""
+    cfg = tmp_path / "sim.conf"
+    cfg.write_text(NOISELESS_CONFIG, encoding="utf-8")
+    out = tmp_path / "data.csv"
+    (tmp_path / "link.csv").symlink_to(out)
+    before = sorted(os.listdir(tmp_path))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--truth-out", str(tmp_path / truth_name)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": f"two outputs at one path: {tmp_path / truth_name}", "code": 2}
+    assert sorted(os.listdir(tmp_path)) == before and not out.exists()
+
+
 def test_simulate_seed_override_changes_data(tmp_path):
     cfg = tmp_path / "sim.conf"
     cfg.write_text(NOISELESS_CONFIG, encoding="utf-8")
@@ -163,6 +181,8 @@ EXTREME_VALUES = [
     ({"h_policy": "cv-once", "cv_h_grid": "1e-300"}, 0, 3),
     ({"points": "-1:5"}, 0, 3),
     ({"grid": "slices", "slice_T": "0.5,8"}, 0, 3),
+    ({"grid": "slices", "slice_T": "8,8"}, 0, 3),
+    ({"grid": "slices", "slice_T": "8,8.0000000005"}, 0, 3),
     ({"grid": "slices", "slice_T": "1e300", "slice_t_step": "1e-300"}, 0, 3),
     ({"grid": "slices", "slice_t_step": "1e-300"}, 0, 3),
     ({"grid": "rect", "rect_t": ",".join(map(str, range(257))),
@@ -382,22 +402,27 @@ def test_slice_stdout_and_artifacts(noiseless_csv, tmp_path, capsys):
     assert smeta["T"] == "8"
     assert len(srows) == 9
 
-    # all slices fit in one batch; a repeated T prints its rows again
+    # all slices fit in one batch and print their rows in --T order
     single = []
-    for T in ("8", "12", "8"):
+    for T in ("12", "8"):
         assert main(["slice", "--data", noiseless_csv, "--T", T, "--t-step", "2",
                      "--h", "3"]) == 0
         single += _parse_table(capsys.readouterr().out)[2]
-    argv = ["slice", "--data", noiseless_csv, "--T", "8", "--T", "12", "--T", "8",
-            "--t-step", "2", "--h", "3"]
-    assert main(argv) == 0
+    assert main(["slice", "--data", noiseless_csv, "--T", "12", "--T", "8",
+                 "--t-step", "2", "--h", "3"]) == 0
     assert _parse_table(capsys.readouterr().out)[2] == single
-    rep_dir = tmp_path / "repeated"
-    assert main(argv + ["--out-dir", str(rep_dir)]) == 0
-    capsys.readouterr()
-    assert sorted(os.listdir(rep_dir)) == ["slice_T12.csv", "slice_T8.csv"]
-    for name in ("slice_T8.csv", "slice_T12.csv"):
-        assert (rep_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+    # each slice total names its own table: a repeat, or a total of the same name, is a
+    # usage error that writes nothing
+    for Ts in (("8", "12", "8"), ("8", "8.0000001")):
+        rep_dir = tmp_path / "repeated"
+        argv = ["slice", "--data", noiseless_csv, *(a for T in Ts for a in ("--T", T)),
+                "--t-step", "2", "--h", "3", "--out-dir", str(rep_dir), "--svg"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err.splitlines()[-1]) == {
+            "error": "two slice totals share the table name slice_T8", "code": 2}
+        assert not rep_dir.exists()
 
 
 def test_slice_validation_errors(noiseless_csv, capsys):
@@ -689,6 +714,47 @@ def test_a_closed_stdout_exits_1_without_a_traceback(noiseless_csv):
     assert child.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("loaded 60 subjects") and err.count("\n") == 1
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stdout, which Python's stdout writes through to under -u, that takes at most
+    4,096 bytes a call, as a pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:4096])
+        return min(len(b), 4096)
+
+
+def test_a_stdout_that_takes_short_writes_gets_every_byte(noiseless_csv, monkeypatch):
+    argv = ["slice", "--data", noiseless_csv, "--T", "8", "--T", "12", "--t-step", "0.1",
+            "--h", "2"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    expected = out.getvalue().encode()
+    assert len(expected) > 20_000
+    raw = _ShortWrites()
+    monkeypatch.setattr(sys, "argv", ["vcterm", *argv])
+    with contextlib.redirect_stdout(io.TextIOWrapper(raw, "utf-8", write_through=True)), \
+            contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as done:
+        run()
+    assert done.value.code == 0
+    assert bytes(raw.data) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
+def test_a_cohort_whose_read_fails_is_a_data_error(capsys):
+    """/proc/self/mem opens, and its first read fails with EIO, an OSError without a file
+    name."""
+    assert main(["fit", "--data", "/proc/self/mem", "--t0", "1", "--s0", "1", "--h", "1"]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["code"] == 3 and error["error"].startswith("cannot read /proc/self/mem: ")
 
 
 @pytest.mark.parametrize("sub", ["cv", "simulate", "study"])

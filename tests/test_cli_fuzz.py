@@ -1,13 +1,16 @@
-"""Argv fuzz: `vcterm fit`, `slice`, `cv`, `kernel-moments` and `heatmap` on drawn command
-lines exit with a documented code, print one JSON error line on failure, raise no
-RuntimeWarning, and leave no output file after a data error. A table printed on success
-is well formed: strict JSON, or CSV whose every row has as many cells as its header.
+"""Argv fuzz: every `vcterm` subcommand on drawn command lines exits with a documented
+code, prints one JSON error line on failure, raises no RuntimeWarning, and leaves no new
+or changed file after a failure. A table printed on success is well formed: strict JSON,
+or CSV whose every row has as many cells as its header.
 
 Each option is left out, given a typical value, given twice, or given a hostile value:
 negatives with and without an exponent, subnormals, +-1e308, nan and inf text, huge
 integers, and empty or ragged --h-grid lists. A value goes as its own argument or after
-`=`, and unknown options ride along. Every draw runs on one fixed n=80 cohort, and every
-typical value keeps a run cheap (at most 12 points per slice, at most 4 CV candidates).
+`=`, and unknown options ride along. Output paths may name a directory, lie below a file,
+or, for `simulate`, name one file twice; a repeated --T repeats a slice total, and so does
+one of the study configs. Every draw runs on one fixed n=80 cohort or an n=40 config, and
+every typical value keeps a run cheap (at most 12 points per slice, at most 4 CV
+candidates, a one-replication study at one point).
 """
 
 import contextlib
@@ -42,6 +45,9 @@ TYPICAL = {
     "--format": ["csv", "json"], "--quadrature-n": ["64", "100", "256"],
     "--title": ["", "coverage", "a <b> & \"c\""],
 }
+STUDY = "n = 40\nseed = 6\nreplications = 1\nh_policy = fixed\nh_fixed = 2.5\n"
+CONFIGS = {"study": STUDY + "grid = points\npoints = 2:7\n",
+           "repeated": STUDY + "grid = slices\nslice_T = 8,8.0000001\nslice_t_step = 4\n"}
 OPTIONS = {
     "fit": ["--data", "--t0", "--s0", "--h", "--alpha", "--transform", "--format"],
     "slice": ["--data", "--T", "--t-step", "--h", "--alpha", "--out-dir", "--svg",
@@ -50,8 +56,12 @@ OPTIONS = {
            "--format"],
     "kernel-moments": ["--quadrature-n", "--format"],
     "heatmap": ["--coverage", "--out", "--title"],
+    "simulate": ["--config", "--out", "--truth-out", "--seed"],
+    "study": ["--config", "--out-dir", "--no-resume", "--seed", "--threads"],
 }
-REQUIRED = {"--data", "--t0", "--s0", "--h", "--T", "--coverage", "--out"}
+REQUIRED = {"--data", "--t0", "--s0", "--h", "--T", "--coverage", "--out", "--config"}
+FLAGS = {"--svg", "--no-resume"}
+SIMULATED = ["{work}/c.csv"] * 3 + ["{work}/t.csv"] * 2 + ["{work}", "{work}/a_file/x.csv"]
 UNKNOWN = ["--bogus", "--seed", "--svg", "--h-grid", "--T", "--t0", "-x"]  # none writes a file
 
 
@@ -62,6 +72,9 @@ def work():
         write_dataset_csv(cohort, os.path.join(root, "cohort.csv"))
         with open(os.path.join(root, "a_file"), "w", encoding="utf-8"):
             pass
+        for name, text in CONFIGS.items():
+            with open(os.path.join(root, name + ".conf"), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for name, rows in (("coverage", ["1,5,0.9,2", "3,5,,0", "1,7,1,2", "3,7,0.5,2"]),
                            ("ragged", ["1,5,0.9,2", "3,5,1,2", "1,7,1,2"])):
             with open(os.path.join(root, name + ".csv"), "w", encoding="utf-8") as fh:
@@ -69,12 +82,17 @@ def work():
         yield root
 
 
-def _value(draw, option):
-    """A value of option as an argv text; {work} stands for the cohort's directory."""
+def _value(draw, sub, option):
+    """A value of sub's option as an argv text; {work} stands for the cohort's directory."""
     if option == "--data":
         return draw(st.sampled_from(["{work}/cohort.csv"] * 10 + ["{work}/missing.csv", "{work}"]))
+    if option == "--config":
+        return draw(st.sampled_from(["{work}/study.conf"] * 6 + ["{work}/repeated.conf",
+                                                                 "{work}/cohort.csv"]))
     if option == "--out-dir":
-        return draw(st.sampled_from(["{work}/out/slices", "{work}/a_file", "{work}/a_file/x"]))
+        return draw(st.sampled_from(["{work}/out/" + sub, "{work}/a_file", "{work}/a_file/x"]))
+    if sub == "simulate" and option in ("--out", "--truth-out"):  # one file twice at times
+        return draw(st.sampled_from(SIMULATED))
     if option in ("--coverage", "--out"):  # a bad file one time in five
         if draw(st.integers(0, 4)):
             return "{work}/coverage.csv" if option == "--coverage" else "{work}/heat.svg"
@@ -96,13 +114,14 @@ def command_lines(draw):
     sub = draw(st.sampled_from(sorted(OPTIONS)))
     argv = [sub]
     for option in OPTIONS[sub]:
-        kind = draw(st.sampled_from(["absent"] + ["once"] * 18 + ["twice"] if option in REQUIRED
+        required = option in REQUIRED or (sub, option) == ("study", "--out-dir")
+        kind = draw(st.sampled_from(["absent"] + ["once"] * 18 + ["twice"] if required
                                     else ["absent"] * 3 + ["once"] * 2 + ["twice"]))
         for _ in range({"absent": 0, "once": 1, "twice": 2}[kind]):
-            if option == "--svg":
+            if option in FLAGS:
                 argv.append(option)
                 continue
-            value = _value(draw, option)
+            value = _value(draw, sub, option)
             argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
     if draw(st.integers(0, 9)) == 0:
         argv += [draw(st.sampled_from(UNKNOWN)), draw(st.sampled_from(["1", "-1e3", "x"]))]
@@ -165,12 +184,12 @@ def test_any_command_line_exits_with_a_documented_code_and_one_json_error(work, 
         assert [e["code"] for e in errors] == ([] if code == 0 else [code]), (argv, err)
         if code:
             assert out == "" and err.endswith("\n") and err.splitlines()[-1].startswith("{")
-        elif argv[0] == "heatmap" or any(a.startswith("--out-dir") for a in argv):
+            assert _outputs(work) == before, (argv, err)
+        elif argv[0] in ("heatmap", "simulate", "study") or any(a.startswith("--out-dir")
+                                                                for a in argv):
             assert out == "", (argv, out)
         else:
             _assert_table(argv, out)
-        if code == 3:
-            assert _outputs(work) == before, (argv, err)
     finally:
         for made in sorted(set(_outputs(work)) - set(before), reverse=True):
             (os.rmdir if os.path.isdir(made) else os.remove)(made)

@@ -48,6 +48,9 @@ def test_grid_spec_slices_points():
     assert pts == [(float(i), 8.0 - i) for i in range(1, 8)]
     g3 = GridSpec(kind="slices", slice_T=(8.0, 12.0, 16.0), slice_t_step=1.0)
     assert len(g3.eval_points()) == 7 + 11 + 15
+    assert g3.slices() == {8.0: slice(0, 7), 12.0: slice(7, 18), 16.0: slice(18, 33)}
+    assert list(GridSpec(slice_T=(12, 8.5)).slices()) == [12.0, 8.5]
+    assert GridSpec(kind="rect", rect_t=(1.0,), rect_s=(2.0,)).slices() == {}
 
 
 def test_grid_spec_rect_and_points():
@@ -69,6 +72,9 @@ def test_grid_spec_validation():
         GridSpec(kind="rect", rect_t=(1.0,), rect_s=())
     with pytest.raises(ValueError):
         GridSpec(kind="points", points=())
+    for Ts in ((8.0, 8.0), (8, 12.0, 8.0), (8.0, 8.0000001)):  # each T names its own table
+        with pytest.raises(ValueError, match="two slice totals share the table name slice_T8$"):
+            GridSpec(kind="slices", slice_T=Ts)
 
 
 def test_study_config_validation():
@@ -275,6 +281,8 @@ def test_unreachable_point_missing_not_zero(tmp_path):
     assert [c["valid"] for c in cells] == ["2", "0"]
     assert cells[0]["coverage"] != ""
     assert cells[1]["coverage"] == ""
+    with pytest.raises(ValueError, match="no evaluation points"):  # (1, 8) lies on no slice
+        slice_summary(result, 9.0)
 
 
 def test_coverage_heatmap_rejects_non_rectangular():
@@ -301,8 +309,9 @@ def test_slice_summary_layout():
     half_emp = table.upper_emp - table.mean_estimate
     np.testing.assert_allclose(half_emp, 1.9599639845400536 * table.emp_sd,
                                atol=1e-12)
-    with pytest.raises(ValueError):
-        slice_summary(result, 9.25)
+    for T in (9.25, 8.0 + 1e-10):  # a slice is looked up by its total exactly
+        with pytest.raises(ValueError, match="no evaluation points"):
+            slice_summary(result, T)
 
 
 def test_cv_once_policy_single_selection():

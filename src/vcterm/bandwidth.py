@@ -94,12 +94,17 @@ def cv_score(data: Dataset, folds, h: float) -> tuple[float, float]:
     return score, excluded_fraction
 
 
+def check_gamma(gamma: float):
+    """ValueError unless gamma, the undersmoothing exponent, is nonnegative and finite."""
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be nonnegative and finite")
+
+
 def undersmoothing_factor(n: int, gamma: float = DEFAULT_GAMMA) -> float:
     """Shrinkage n^(-gamma) applied to the selected bandwidth; always > 0."""
     if not n > 0:
         raise ValueError("n must be positive")
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError("gamma must be nonnegative and finite")
+    check_gamma(gamma)
     factor = float(n) ** (-gamma)
     if not factor > 0:
         raise ValueError(f"gamma={gamma:g} shrinks the bandwidth to zero at n={n}")

@@ -20,7 +20,8 @@ import numpy as np
 from . import config as cfgmod
 from . import io as iomod
 from . import svg as svgmod
-from .bandwidth import DEFAULT_FOLDS, DEFAULT_GAMMA, DEFAULT_H_GRID, select_bandwidth
+from .bandwidth import (DEFAULT_FOLDS, DEFAULT_GAMMA, DEFAULT_H_GRID, candidate_grid,
+                        check_folds, check_gamma, select_bandwidth)
 from .data import Dataset
 from .errors import DataError, NumericalError, UsageError, VctermError
 from .experiments import GridSpec, rect_index, run_study, slice_stem
@@ -154,12 +155,9 @@ def _load(args) -> Dataset:
         f"from dropped subjects)",
         file=sys.stderr,
     )
-    return dataset
-
-
-def _need_complete_cases(dataset: Dataset):
     if dataset.n_complete_case == 0:
         raise DataError("no complete-case subjects: every follow-up is censored")
+    return dataset
 
 
 def _print_table(fmt: str, meta: dict, header, *columns):
@@ -180,9 +178,8 @@ def _interval_columns(fits, p: int, alpha: float) -> tuple:
 
 
 def cmd_fit(args) -> int:
+    normal_quantile(args.alpha)  # an invalid alpha fails before the load
     dataset = _load(args)
-    _need_complete_cases(dataset)
-    normal_quantile(args.alpha)  # an invalid alpha fails before the fit
     fp = local_fit(dataset, args.t0, args.s0, args.h)
     if fp.status != STATUS_OK:
         raise NumericalError(
@@ -202,12 +199,11 @@ _SLICE_HEADER = ("T", "t", "s", "coef", "estimate", "se", "lower", "upper",
 
 
 def cmd_slice(args) -> int:
-    dataset = _load(args)
-    _need_complete_cases(dataset)
     if args.svg and not args.out_dir:
         raise DataError("--svg needs --out-dir")
-    normal_quantile(args.alpha)  # an invalid alpha fails before the fits
+    normal_quantile(args.alpha)  # an invalid alpha or grid fails before the load
     grid = GridSpec(slice_T=tuple(args.T), slice_t_step=args.t_step)
+    dataset = _load(args)
     slices, p = grid.slices(), dataset.p
     # one batch for every slice: the residual pass runs once
     fits = fit_grid(dataset, grid.eval_points(), args.h)
@@ -244,14 +240,16 @@ def _slice_svg(path: str, T: float, t, est, lower, upper):
 
 
 def cmd_cv(args) -> int:
-    dataset = _load(args)
-    _need_complete_cases(dataset)
     h_grid = None
     if args.h_grid is not None:
         try:
             h_grid = tuple(float(v) for v in args.h_grid.split(","))
         except ValueError:
             raise UsageError(f"--h-grid: expected comma-separated numbers, got {args.h_grid!r}")
+    candidate_grid(h_grid)  # the candidates, folds and gamma fail before the load
+    check_folds(args.folds)
+    check_gamma(args.gamma)
+    dataset = _load(args)
     seed = 0 if args.seed is None else args.seed
     result = select_bandwidth(dataset, h_grid=h_grid, seed=seed, k=args.folds,
                               gamma=args.gamma)

@@ -11,9 +11,10 @@ targets go in slabs of at most 2 * CHUNK. A slab's offsets (and in a CV pass
 its fold differences) are one matrix product per plane that gives the bits of
 np.subtract (see _offset_factors); one kernel evaluation turns them into a
 slab x candidates weight block W in place, in a buffer reused over the pass,
-and the disk mask it leaves counts each target's weights. W then multiplies
-the stacked features [vec(x x'), x y] of the cell's candidates CHUNK rows at
-a time, a partial last chunk zero-padded to CHUNK rows. The fixed GEMM height
+and the disk mask it leaves counts each target's weights. W, the kernel's shape
+exp(-r^2/2) 1{r <= R}, is h^-2 K up to a factor that cancels in every fit. W then
+multiplies the stacked features [vec(x x'), x y] of the cell's candidates CHUNK
+rows at a time, a partial last chunk zero-padded to CHUNK rows. The fixed GEMM height
 and per-cell candidate sets keep each target's bits independent of the batch.
 `held_out` fits each visit without its CV fold's subjects, in one masked pass or one
 pass per fold, whichever form _per_fold expects to be cheaper.
@@ -27,7 +28,7 @@ from collections import namedtuple
 import numpy as np
 
 from .data import Dataset
-from .kernel import _TWO_PI, DEFAULT_KERNEL, _weigh
+from .kernel import DEFAULT_KERNEL, _weigh
 
 STATUS_OK = "ok"
 STATUS_SINGULAR = "singular"
@@ -133,7 +134,7 @@ def _moments(view: View, t0, s0, h: float, fold, weights):
     x0, xc = (t0, s0), (view.t, view.s)
     if fold is not None:
         x0, xc = x0 + (fold[0],), xc + (fold[1],)
-    hh, slab, widest = h * h, 2 * CHUNK, int(np.diff(cut).max())
+    inv_h, slab, widest = 1.0 / h, 2 * CHUNK, int(np.diff(cut).max())
     buf, ones = np.empty(len(x0) * slab * widest), np.ones(widest)
     n, first, cut = n.ravel(), first.tolist(), cut.tolist()
     for g0, g1 in zip(edges[:-1], edges[1:]):
@@ -150,9 +151,8 @@ def _moments(view: View, t0, s0, h: float, fold, weights):
                 rows = targets[k:k + slab]
                 P = buf[:len(x0) * rows.size * cand.size].reshape(-1, rows.size, cand.size)
                 np.matmul(A[:, k:k + rows.size], Bg, out=P)
-                P[:2] /= h
+                P[:2] *= inv_h
                 W = _weigh(DEFAULT_KERNEL, P[0], P[1])  # P[1] is now 1.0 inside the disk
-                W /= hh
                 if fold is not None:
                     keep = np.not_equal(P[2], 0.0, out=P[2])
                     W *= keep
@@ -169,13 +169,13 @@ def _moments(view: View, t0, s0, h: float, fold, weights):
 
 
 def check_bandwidth(h: float):
-    """ValueError unless h, h * h and the largest weight K(0, 0) / h^2 are positive
-    and finite (W divides by h * h)."""
+    """ValueError unless h and h * h are positive and finite and h * h is a normal float,
+    since the sandwich multiplies by n h^2 and the standard errors divide by it."""
     if not (h > 0 and 0 < h * h < math.inf):
         raise ValueError("bandwidth h must be positive and finite, and so must h*h")
-    if not DEFAULT_KERNEL.normalizer / _TWO_PI / (h * h) < math.inf:
-        raise ValueError(f"bandwidth h={h!r} is too small: the kernel weight K(0, 0) / h^2 "
-                         "overflows")
+    if not h * h >= np.finfo(float).tiny:
+        raise ValueError(f"bandwidth h={h!r} is too small: h*h is below the smallest "
+                         "normal float")
 
 
 def solve(view: View, t0, s0, h: float, fold=None,
@@ -184,7 +184,7 @@ def solve(view: View, t0, s0, h: float, fold=None,
 
     A target is "empty_support" when fewer than p observations carry weight,
     "singular" when its Gram matrix fails the reciprocal-condition test.
-    ValueError when check_bandwidth fails (h below about 3.05e-155) or a
+    ValueError when check_bandwidth fails (h below about 1.49e-154) or a
     kernel moment overflows.
     With a weights dict, weights[i] = (idx, w) lists each supported target's nonzero weights.
     """
@@ -195,13 +195,13 @@ def solve(view: View, t0, s0, h: float, fold=None,
         raise ValueError("target points must be finite")
     p, B = view.p, t0.size
     # an offset or target cell that overflows lies far outside every disk and
-    # weighs zero; past check_bandwidth, only a moment sum can overflow, or be
+    # weighs zero; a weight is at most 1, so only a moment sum can overflow, or be
     # NaN where a zero weight meets an infinite feature
     with np.errstate(over="ignore", invalid="ignore"):
         mom, n_eff = _moments(view, t0, s0, h, fold, weights)
     if not np.isfinite(mom).all():
-        raise ValueError(f"the kernel moments overflow at bandwidth h={h!r}: h is too small "
-                         "or the covariates and responses too large")
+        raise ValueError(f"the kernel moments overflow at bandwidth h={h!r}: the covariates "
+                         "and responses are too large")
     evals, evecs = np.linalg.eigh(mom[:, :p * p].reshape(B, p, p))
     lam = evals[:, -1]
     status = np.where(n_eff < p, 2, np.where((lam > 0) & (evals[:, 0] >= RCOND_MIN * lam), 0, 1))

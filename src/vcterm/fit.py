@@ -5,8 +5,8 @@ For a target point (t0, s0) the estimate solves
     beta_hat = (sum_i Xi' Ki Xi)^{-1} (sum_i Xi' Ki Yi)
 
 over complete-case subjects, where Ki is diagonal with entries
-h^{-2} K((tau_ij - t0)/h, (Ti - tau_ij - s0)/h). The sandwich variance
-follows the moment-based plug-in form with per-subject score vectors.
+h^{-2} K((tau_ij - t0)/h, (Ti - tau_ij - s0)/h), up to a constant factor that cancels.
+The sandwich variance follows the moment-based plug-in form with per-subject scores.
 """
 
 from __future__ import annotations
@@ -111,12 +111,9 @@ def _fit_points(data: Dataset, points, h: float) -> list[FitPoint]:
             under = ((M.diagonal(axis1=1, axis2=2) < _TINY) & G.any(axis=1)).any(axis=1)
             bad = under | ~np.isfinite(V).all(axis=(1, 2))
             if bad.any():  # the first failing point raises, underflow before overflow
-                first = bad.argmax()
-                if under[first]:  # a square of the largest weight that underflows blames h
-                    small = ("the kernel weights" if weights[chunk[first]][1].max() ** 2 < _TINY
-                             else "the residuals or covariates")
+                if under[bad.argmax()]:  # in-disk weights are >= ~0.05, so eps or x underflowed
                     raise ValueError(f"the sandwich variance underflows at bandwidth h={h!r}: "
-                                     f"{small} are too small")
+                                     "the residuals or covariates are too small")
                 raise ValueError(f"the sandwich variance overflows at bandwidth h={h!r}: "
                                  "the covariates and responses are too large")
             for i, v in zip(chunk, V):

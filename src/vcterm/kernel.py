@@ -19,16 +19,14 @@ DEFAULT_KERNEL = Kernel(_RADIUS, 1.0 / -math.expm1(-0.5 * _RADIUS * _RADIUS))
 
 
 def _weigh(kernel: Kernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The kernel at standardized offsets (u, v) of one shape, written over u and
-    returned; v is overwritten too. Zero outside the disk, NaN at a NaN offset."""
+    """The kernel up to its factor normalizer / 2pi, exp(-r^2/2) 1{r <= R}, at offsets (u, v)
+    of one shape, written over u and returned; v is left 1.0 in the disk, 0.0 outside."""
     u *= u
     v *= v
     u += v  # squared radius
     np.less_equal(u, kernel.truncation_radius**2, out=v)  # 1.0 inside the disk, 0.0 outside
     u *= -0.5
     np.exp(u, out=u)
-    u *= kernel.normalizer
-    u /= _TWO_PI
     u *= v
     return u
 
@@ -37,6 +35,8 @@ def kernel_eval(kernel: Kernel, u, v):
     """Evaluate the kernel at standardized offsets; zero outside the disk, NaN at a NaN offset."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     out = _weigh(kernel, u.copy(), v.copy())
+    out *= kernel.normalizer  # after the 0/1 mask, which keeps or zeroes a value exactly
+    out /= _TWO_PI
     return float(out) if out.ndim == 0 else out
 
 

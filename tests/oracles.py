@@ -99,6 +99,44 @@ def dense_sandwich(dataset, t0: float, s0: float, h: float, resid_map: dict
     return n_cc * h * h * (A_inv @ M @ A_inv)
 
 
+def dense_fit(dataset, t0: float, s0: float, h: float, rcond_min: float = 1e-12):
+    """(beta or None, n_eff, status) of a dense fit at (t0, s0): "empty_support" when fewer
+    than p observations carry weight, "singular" when the Gram matrix fails the
+    reciprocal-condition test, and "ok" with the LU solution otherwise."""
+    p = dataset.p
+    A = np.zeros((p, p))
+    n_eff = 0
+    for s in dataset.subjects:
+        if s.event_observed:
+            K = weight_matrix(s, t0, s0, h)
+            n_eff += int(np.count_nonzero(np.diag(K)))
+            A += s.covariates.T @ K @ s.covariates
+    if n_eff < p:
+        return None, n_eff, "empty_support"
+    evals = np.linalg.eigvalsh(A)
+    if not evals[0] >= rcond_min * evals[-1] > 0:
+        return None, n_eff, "singular"
+    return dense_local_fit(dataset, t0, s0, h), n_eff, "ok"
+
+
+def dense_fit_grid(dataset, points, h: float) -> list:
+    """(beta, V, n_eff, status) per point from dense_fit, with V from dense_sandwich (None
+    unless ok) over the residuals of the visits whose own fit is ok, 0 at the others."""
+    resid_map = {}
+    for s in dataset.subjects:
+        if s.event_observed:
+            for j, tau in enumerate(s.times):
+                beta, _, status = dense_fit(dataset, float(tau), float(s.followup_end - tau), h)
+                resid_map[(s.id, j)] = (float(s.responses[j] - s.covariates[j] @ beta)
+                                        if status == "ok" else 0.0)
+    out = []
+    for t0, s0 in points:
+        beta, n_eff, status = dense_fit(dataset, t0, s0, h)
+        V = None if beta is None else dense_sandwich(dataset, t0, s0, h, resid_map)
+        out.append((beta, V, n_eff, status))
+    return out
+
+
 def reference_sandwich(dataset, points, h: float) -> list:
     """The per-point sandwich loop that vcterm.fit._fit_points batched: v_hat of
     each point (None unless its fit is ok), with one np.add.at per point.
@@ -131,7 +169,7 @@ def reference_sandwich(dataset, points, h: float) -> list:
             M = G.T @ G
             if (M.diagonal() < _TINY)[G.any(axis=0)].any():
                 raise ValueError(f"the sandwich variance underflows at bandwidth h={h!r}: "
-                                 "the kernel weights are too small")
+                                 "the residuals or covariates are too small")
             A_inv = sol.evecs[i] @ (sol.evecs[i].T / sol.evals[i][:, None])
             V = view.n_subjects * h * h * (A_inv @ M @ A_inv)
             out[i] = 0.5 * (V + V.T)

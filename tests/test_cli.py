@@ -425,6 +425,27 @@ def test_slice_stdout_and_artifacts(noiseless_csv, tmp_path, capsys):
         assert not rep_dir.exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["slice", "--T", "8", "--T", "8", "--h", "2"],
+     "two slice totals share the table name slice_T8"),
+    (["fit", "--t0", "2", "--s0", "6", "--h", "2", "--alpha", "1e-300"],
+     "alpha=1e-300 is too small: 1 - alpha/2 rounds to 1"),
+    (["cv", "--h-grid", "1,0"], "bandwidth h must be positive and finite, and so must h*h"),
+    (["cv", "--folds", "1"], "need at least 2 folds"),
+    (["cv", "--gamma", "-1"], "gamma must be nonnegative and finite"),
+])
+def test_a_bad_command_line_fails_before_the_cohort_is_loaded(noiseless_csv, capsys,
+                                                              monkeypatch, argv, error):
+    def no_load(*args, **kwargs):
+        raise AssertionError("load_csv ran")
+
+    monkeypatch.setattr(vcterm.io, "load_csv", no_load)
+    assert main(argv + ["--data", noiseless_csv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "loaded" not in err
+    assert err.splitlines() == [json.dumps({"error": error, "code": 2})]
+
+
 def test_slice_validation_errors(noiseless_csv, capsys):
     assert main(["slice", "--data", noiseless_csv, "--T", "0.5",
                  "--t-step", "2", "--h", "3"]) == 3
@@ -903,7 +924,7 @@ def test_bandwidth_whose_square_is_zero_or_inf_is_usage_error(noiseless_csv, cap
 @pytest.mark.parametrize("h", ["1e-160", "1e-156", "3e-155"])
 @pytest.mark.parametrize("argv", [["fit", "--t0", "1", "--s0", "6"], ["slice", "--T", "8"],
                                   ["cv", "--folds", "2"]])
-def test_bandwidth_whose_kernel_weight_overflows_is_usage_error(noiseless_csv, capsys, argv, h):
+def test_bandwidth_whose_square_is_subnormal_is_usage_error(noiseless_csv, capsys, argv, h):
     h_args = ["--h-grid", h] if argv[0] == "cv" else ["--h", h]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -911,8 +932,8 @@ def test_bandwidth_whose_kernel_weight_overflows_is_usage_error(noiseless_csv, c
     out, err = capsys.readouterr()
     assert out == ""
     err_line = json.loads(err.splitlines()[-1])
-    assert err_line == {"error": f"bandwidth h={float(h)!r} is too small: the kernel weight "
-                                 "K(0, 0) / h^2 overflows", "code": 2}
+    assert err_line == {"error": f"bandwidth h={float(h)!r} is too small: h*h is below the "
+                                 "smallest normal float", "code": 2}
 
 
 @pytest.mark.parametrize("y, what", [(1e300, "the sandwich variance overflows"),
@@ -954,21 +975,25 @@ def test_cv_score_that_overflows_is_rejected(tmp_path, capsys):
         "code": 2}
 
 
+def _global_fit(data):
+    """The unweighted least-squares fit over every complete-case visit."""
+    cc = np.repeat(data.event_observed, data.counts)
+    return np.linalg.lstsq(data.covariates[cc], data.responses[cc], rcond=None)[0]
+
+
 @pytest.mark.filterwarnings("error")
-def test_sandwich_that_underflows_is_rejected(tmp_path, capsys):
+def test_huge_bandwidth_gives_the_global_fit():
+    """At h=1e100 every visit's scaled offset squares to about 1e-198, so every kernel
+    weight is exactly 1: the fit is the global least-squares fit, with a sandwich that
+    neither underflows nor overflows."""
     data, _ = gen_dataset(SimConfig(n=80, seed=5))
-    se = standard_errors(local_fit(data, 2.0, 6.0, 1e3))
+    fp = local_fit(data, 2.0, 6.0, 1e100)
+    assert fp.status == "ok"
+    assert fp.n_eff == np.count_nonzero(np.repeat(data.event_observed, data.counts))
+    np.testing.assert_allclose(fp.beta_hat, _global_fit(data), rtol=1e-12, atol=1e-12)
+    se = standard_errors(fp)
     assert (se > 0.1).all()
-    message = "the sandwich variance underflows at bandwidth h=1e+100: "
-    with pytest.raises(ValueError, match="^" + re.escape(message)):
-        local_fit(data, 2.0, 6.0, 1e100)
-    path = str(tmp_path / "cohort.csv")
-    write_dataset_csv(data, path)
-    assert main(["fit", "--data", path, "--t0", "2", "--s0", "6", "--h", "1e100"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    err_line = json.loads(err.splitlines()[-1])
-    assert err_line["code"] == 2 and err_line["error"].startswith(message)
+    np.testing.assert_allclose(se, standard_errors(local_fit(data, 2.0, 6.0, 1e3)), rtol=1e-3)
     # exactly zero residuals give a zero score, not an underflow
     data.responses[:] = 0.0
     fp = local_fit(data, 2.0, 6.0, 1e100)
@@ -976,21 +1001,29 @@ def test_sandwich_that_underflows_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale, h, blamed", [(1e-160, "1", "the residuals or covariates"),
-                                              (1.0, "1e100", "the kernel weights")])
+                                              (1.0, "1e100", None)])
 @pytest.mark.filterwarnings("error")
-def test_sandwich_underflow_blames_tiny_residuals_or_tiny_weights(tmp_path, capsys, scale, h,
-                                                                  blamed):
-    """Responses near 1e-160 underflow the scores at an ordinary h=1, where the kernel weights
-    are near 0.1; h=1e100 underflows them through weights near 1e-201."""
+def test_sandwich_underflows_at_tiny_residuals_not_at_a_huge_bandwidth(tmp_path, capsys,
+                                                                        scale, h, blamed):
+    """Responses near 1e-160 underflow the scores at an ordinary h=1, where every in-disk
+    weight is 0.05 or more; at h=1e100 every weight is 1 and `vcterm fit` prints the global
+    fit."""
     data, _ = gen_dataset(SimConfig(n=200, seed=1))
     data.responses *= scale
+    path = str(tmp_path / "cohort.csv")
+    write_dataset_csv(data, path)
+    argv = ["fit", "--data", path, "--t0", "2", "--s0", "6", "--h", h]
+    if blamed is None:
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        np.testing.assert_allclose([row["estimate"] for row in rows], _global_fit(data),
+                                   rtol=1e-12, atol=1e-12)
+        return
     message = (f"the sandwich variance underflows at bandwidth h={float(h)!r}: "
                f"{blamed} are too small")
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         local_fit(data, 2.0, 6.0, float(h))
-    path = str(tmp_path / "cohort.csv")
-    write_dataset_csv(data, path)
-    assert main(["fit", "--data", path, "--t0", "2", "--s0", "6", "--h", h]) == 2
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err.splitlines()[-1]) == {"error": message, "code": 2}

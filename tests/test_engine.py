@@ -11,6 +11,15 @@ from vcterm.data import Dataset
 from vcterm.engine import CHUNK, RCOND_MIN, View, _offset_factors, solve
 
 H = 2.0
+R = DEFAULT_KERNEL.truncation_radius
+
+
+def _shape(view, t0, s0, h):
+    """The kernel's shape exp(-r^2/2) 1{r <= R} at every visit's offsets from (t0, s0)
+    times 1 / h, the weights that the engine's constant-free kernel gives."""
+    u, v = (view.t - t0) * (1.0 / h), (view.s - s0) * (1.0 / h)
+    r2 = u * u + v * v
+    return np.exp(-0.5 * r2) * (r2 <= R**2)
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +29,7 @@ def view():
 
 
 @pytest.mark.parametrize("with_fold", [False, True])
-def test_weights_equal_kernel_eval_over_h_squared(view, with_fold):
+def test_weights_equal_the_kernel_shape_at_offsets_times_inverse_h(view, with_fold):
     rng = np.random.default_rng(3)
     j = view.n_obs // 2
     # targets within 4e-6 of one visit: whichever lattice cells they fall in, one
@@ -33,7 +42,7 @@ def test_weights_equal_kernel_eval_over_h_squared(view, with_fold):
     sol = solve(view, t0, s0, H, fold=fold, weights=weights)
     assert sorted(weights) == list(range(n))
     for i in range(n):
-        w = kernel_eval(DEFAULT_KERNEL, (view.t - t0[i]) / H, (view.s - s0[i]) / H) / (H * H)
+        w = _shape(view, t0[i], s0[i], H)
         if with_fold:
             w *= fold[0][i] != fold[1]
         idx, got = weights[i]
@@ -133,15 +142,15 @@ def test_a_same_fold_visit_at_the_target_weighs_zero(view, base):
 
 # -- property test: solve against a dense per-target loop ---------------------------
 
-R = DEFAULT_KERNEL.truncation_radius
-
 
 def _dense(view, t0, s0, h, fold):
     """Per target: (weights over all observations, n_eff, status code, beta)."""
     p = view.p
     out = []
     for i in range(t0.size):
-        w = kernel_eval(DEFAULT_KERNEL, (view.t - t0[i]) / h, (view.s - s0[i]) / h) / (h * h)
+        # the engine scales offsets by 1 / h, which decides a visit on the disk's edge
+        w = kernel_eval(DEFAULT_KERNEL, (view.t - t0[i]) * (1.0 / h),
+                        (view.s - s0[i]) * (1.0 / h)) / (h * h)
         if fold is not None:
             w = w * (fold[0][i] != fold[1])
         n_eff = np.count_nonzero(w)
@@ -166,7 +175,7 @@ def _edge_visit(h):
         x = R * h
         for _ in range(8):
             x = np.nextafter(x, 0.0)
-            if kernel_eval(DEFAULT_KERNEL, (x - 2 * (R * h)) / h, 0.0) > 0:
+            if kernel_eval(DEFAULT_KERNEL, (x - 2 * (R * h)) * (1.0 / h), 0.0) > 0:
                 return h, float(x)
         h *= 1.001
     raise AssertionError("no edge visit near h")
@@ -240,7 +249,10 @@ def _check_against_dense(view, t0, s0, h, fold):
         idx, got = weights.get(i, (np.empty(0, np.intp), np.empty(0)))
         order = np.argsort(idx)
         assert idx[order].tolist() == np.flatnonzero(w).tolist()
-        assert got[order].tobytes() == w[w != 0].tobytes()
+        shape = _shape(view, t0[i], s0[i], h)
+        if fold is not None:
+            shape *= fold[0][i] != fold[1]
+        assert got[order].tobytes() == shape[w != 0].tobytes()
         if status == 0:
             np.testing.assert_allclose(sol.beta[i], beta, rtol=1e-10, atol=1e-10)
         else:

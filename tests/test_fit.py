@@ -67,6 +67,29 @@ def test_sandwich_matches_dense_oracle():
         np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
 
 
+@pytest.mark.parametrize("h", [1e-3, 0.5, 2.0, 1e3])
+@pytest.mark.filterwarnings("error")
+def test_fit_grid_matches_the_dense_oracle_whose_kernel_is_normalised(h):
+    """The engine weighs by the kernel's shape; the oracle by K / h^2. The factor between
+    them cancels in beta, V, n_eff and status, from h = 1e-3 (no point ok) to 1e3 (one
+    global fit)."""
+    rng = np.random.default_rng(47)
+    data = oracles.make_tiny_dataset(rng, 10, 2)
+    visits = [oracles.interior_target(data, rng) for _ in range(6)]
+    grid = visits + [(0.5, 0.5), (1.5, 1.0), (2.5, 0.3), (1e4, 1e4)]
+    fits = fit_grid(data, grid, h)
+    want = oracles.dense_fit_grid(data, grid, h)
+    for fp, (beta, V, n_eff, status) in zip(fits, want):
+        assert (fp.n_eff, fp.status) == (n_eff, status)
+        if status != STATUS_OK:
+            assert fp.beta_hat is None and fp.v_hat is None
+            continue
+        np.testing.assert_allclose(fp.beta_hat, beta, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(fp.v_hat, V, rtol=1e-10, atol=1e-10 * np.abs(V).max())
+    statuses = {fp.status for fp in fits}
+    assert statuses == ({STATUS_EMPTY} if h < 0.01 else {STATUS_OK, STATUS_EMPTY})
+
+
 def test_sandwich_symmetric_psd():
     rng = np.random.default_rng(29)
     data = oracles.make_tiny_dataset(rng, 10, 3)
@@ -268,8 +291,9 @@ def test_bandwidth_whose_square_is_zero_or_inf_is_rejected(h):
 
 
 @pytest.mark.parametrize("h", [1e-160, 1e-156, 3e-155])
-def test_bandwidth_whose_kernel_weight_overflows_is_rejected(h):
-    # h * h is subnormal and positive, and K(0, 0) / h^2 exceeds the largest float
+def test_bandwidth_whose_square_is_subnormal_is_rejected(h):
+    # h * h is subnormal and positive: n h^2 in the sandwich and the standard errors
+    # would lose bits
     data = _cohort()
     t, s = _visits(data)
     assert 0 < h * h < 1e-308
@@ -289,11 +313,12 @@ def test_bandwidth_whose_moments_overflow_is_rejected_without_a_warning():
     t, s = _visits(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # the smallest bandwidth accepted weighs a visit's own point by 1 and no other
+        fit = local_fit(data, float(t[0]), float(s[0]), 1.5e-154)
+        data.covariates[:, 1] = 1e200  # x2^2 overflows in the features, not in a weight
         with pytest.raises(ValueError, match=re.escape("moments overflow at bandwidth "
-                                                       "h=3.1e-155")):
-            local_fit(data, float(t[0]), float(s[0]), 3.1e-155)
-        # the smallest decade whose weights and moments stay finite here
-        fit = local_fit(data, float(t[0]), float(s[0]), 1e-154)
+                                                       "h=0.5: the covariates")):
+            local_fit(data, float(t[0]), float(s[0]), 0.5)
     assert fit.status == STATUS_EMPTY and fit.n_eff == 1
 
 
@@ -316,8 +341,7 @@ def test_data_whose_moments_overflow_at_an_ordinary_bandwidth_is_rejected():
     t, s = _visits(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="h is too small or the covariates and "
-                                             "responses too large"):
+        with pytest.raises(ValueError, match="the covariates and responses are too large"):
             local_fit(data, float(t[0]), float(s[0]), 2.0)
 
 
